@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-baseline bench-compare verify verify-static verify-docs clean
+.PHONY: build vet test race bench bench-compare verify verify-static verify-docs clean
 
 build:
 	$(GO) build ./...
@@ -35,17 +35,9 @@ bench:
 	$(GO) run ./internal/tools/benchjson -in bench.out -out $(BENCH_JSON)
 	@echo "bench: wrote $(BENCH_JSON)"
 
-# Refresh the committed regression baseline for the pinned sweep benchmarks
-# (same benchmark set and iteration count bench-compare measures against).
-bench-baseline:
-	$(GO) test -run XXX -bench 'SweepPlanCache|ScanPositions|BatchQ2_ParallelSweep' -benchtime 50x -count 5 . ./internal/core/ > bench-baseline.out || (cat bench-baseline.out; exit 1)
-	@cat bench-baseline.out
-	$(GO) run ./internal/tools/benchjson -in bench-baseline.out -out bench/BENCH_baseline.json
-	@rm -f bench-baseline.out
-	@echo "bench-baseline: wrote bench/BENCH_baseline.json"
-
-# Diff the pinned sweep benchmarks against the committed baseline; fails on
-# a >15% ns/op regression (override with BENCH_REGRESSION_PCT).
+# Run the pinned sweep benchmarks alternately on the merge-base (a temporary
+# git worktree) and the working tree; fails on a >15% ns/op regression
+# (override with BENCH_REGRESSION_PCT) or a pinned benchmark gone missing.
 bench-compare:
 	./scripts/bench_compare.sh
 

@@ -10,6 +10,7 @@ import (
 	"context"
 	"math/rand"
 	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/cleaning"
@@ -236,12 +237,17 @@ func benchServePoints(n, dim int, seed int64) [][]float64 {
 }
 
 // benchServeBatch measures serve.BatchQuery throughput for one batch of
-// `batch` points per iteration. hot repeats the same batch (engine-cache
-// hits); cold cycles through distinct batches (cache misses, so the win
-// comes from Scratch pooling + worker parallelism alone).
+// `batch` points per iteration. hot repeats the same batch with the result
+// cache on at cpserve's default budget (answer-cache hits); cold cycles
+// through distinct batches with no result cache (engine-cache misses, so the
+// win comes from Scratch pooling + worker parallelism alone).
 func benchServeBatch(b *testing.B, batch int, hot bool) {
 	d := benchServeData(500, 3, 2, 4, 42)
-	s := serve.NewServer(serve.Config{})
+	var cfg serve.Config
+	if hot {
+		cfg.ResultCacheBytes = 64 << 20
+	}
+	s := serve.NewServer(cfg)
 	if _, err := s.Register("bench", d, knn.NegEuclidean{}, 3); err != nil {
 		b.Fatal(err)
 	}
@@ -315,15 +321,15 @@ func BenchmarkScratch_Pooled_N1000(b *testing.B) {
 
 // benchBatchQ2CleanWhileQuery interleaves cleaning steps of a session with a
 // repeated batch Q2 of the same points against the session's evolving pin
-// state — the serving pattern the retained-tree memo targets. incremental
-// answers through the per-point retained trees (memo hits for irrelevant
-// pins, windowed delta replays for relevant ones); the baseline disables the
-// memo so every query pays a full SS-DC sweep per point through the same
-// code path, keeping the scans/op counters directly comparable.
+// state — the serving pattern the session's retained trees target.
+// incremental answers through the session query path (memo hits for
+// irrelevant pins, windowed delta replays for relevant ones). The baseline
+// pins private engines with the same steps and answers each point through a
+// core.Retained invalidated before every query, so every query pays a full
+// SS-DC sweep per point and scans/op stays directly comparable.
 func benchBatchQ2CleanWhileQuery(b *testing.B, incremental bool) {
-	cfg := serve.Config{Parallelism: 2, DisableQueryMemo: !incremental}
 	d := benchServeData(200, 3, 2, 4, 52)
-	s := serve.NewServer(cfg)
+	s := serve.NewServer(serve.Config{Parallelism: 2})
 	defer s.Close()
 	if _, err := s.Register("bench", d, knn.NegEuclidean{}, 3); err != nil {
 		b.Fatal(err)
@@ -337,27 +343,73 @@ func benchBatchQ2CleanWhileQuery(b *testing.B, incremental bool) {
 		b.Fatal(err)
 	}
 	points := benchServePoints(16, 4, 62)
+	engines := make([]*core.Engine, len(points))
+	full := make([]*core.Retained, len(points))
+	if !incremental {
+		for i, pt := range points {
+			engines[i] = core.NewEngine(d, knn.NegEuclidean{}, pt)
+		}
+		pool, err := core.NewScratchPool(engines[0], 3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i, e := range engines {
+			if full[i], err = core.NewRetained(e, 3, false, pool); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sess.Next(1); err != nil {
+		steps, _, err := sess.Next(1)
+		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sess.Query(ctx, serve.BatchRequest{Points: points}); err != nil {
-			b.Fatal(err)
+		if incremental {
+			if _, err := sess.Query(ctx, serve.BatchRequest{Points: points}); err != nil {
+				b.Fatal(err)
+			}
+			continue
 		}
+		// Two workers, matching the session path's Parallelism.
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for j := w; j < len(points); j += 2 {
+					for _, st := range steps {
+						engines[j].SetPin(st.Row, st.Candidate)
+					}
+					full[j].Invalidate()
+					full[j].Counts()
+				}
+			}(w)
+		}
+		wg.Wait()
 	}
 	b.StopTimer()
-	qs := sess.QueryStats()
-	b.ReportMetric(float64(qs.Retained.CandidatesScanned)/float64(b.N), "scans/op")
-	b.ReportMetric(float64(qs.Retained.CandidatesAvoided)/float64(b.N), "scans-avoided/op")
+	var scanned, avoided int64
+	if incremental {
+		qs := sess.QueryStats()
+		scanned, avoided = qs.Retained.CandidatesScanned, qs.Retained.CandidatesAvoided
+	} else {
+		for _, rt := range full {
+			st := rt.Stats()
+			scanned += st.CandidatesScanned
+			avoided += st.CandidatesAvoided
+		}
+	}
+	b.ReportMetric(float64(scanned)/float64(b.N), "scans/op")
+	b.ReportMetric(float64(avoided)/float64(b.N), "scans-avoided/op")
 }
 
 func BenchmarkBatchQ2_Incremental(b *testing.B) { benchBatchQ2CleanWhileQuery(b, true) }
 func BenchmarkBatchQ2_FullSweep(b *testing.B)   { benchBatchQ2CleanWhileQuery(b, false) }
 
 // BenchmarkBatchQ2_ParallelSweep measures the span-parallel sweep on a
-// single-point full sweep (memo disabled, so every op pays the whole SS-DC
+// single-point full sweep (no result cache, so every op pays the whole SS-DC
 // scan) across worker counts. A one-point batch leaves the entire
 // Parallelism budget to the intra-sweep span workers; workers=1 is the
 // sequential baseline the speedup is read against. Answers are bit-identical
@@ -368,9 +420,8 @@ func BenchmarkBatchQ2_ParallelSweep(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
 			s := serve.NewServer(serve.Config{
-				Parallelism:      workers,
-				SweepWorkers:     workers,
-				DisableQueryMemo: true,
+				Parallelism:  workers,
+				SweepWorkers: workers,
 			})
 			defer s.Close()
 			if _, err := s.Register("bench", d, knn.NegEuclidean{}, 3); err != nil {

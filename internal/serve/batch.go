@@ -27,7 +27,7 @@ type PointResult struct {
 	// Entropy is the Shannon entropy (nats) of the Q2 distribution.
 	Entropy float64 `json:"entropy"`
 	// Fractions is the normalized Q2 answer per label. Treat as read-only:
-	// memoized results share one backing slice across callers.
+	// result-cache hits share one backing slice across callers.
 	Fractions []float64 `json:"fractions"`
 }
 
@@ -77,12 +77,13 @@ func splitParallelism(cfg Config, points int) (batchWorkers, sweepWorkers int) {
 
 // BatchQuery answers Q1/Q2/entropy for every point of the request against
 // the named dataset, fanning the points out across the server's worker
-// budget. Engines come from the per-dataset LRU, Scratches from the shared
-// free list, and repeated queries of a cached point are answered from its
-// retained-tree memo. Canceling ctx — a disconnected HTTP client above all —
-// stops the fan-out: remaining points are never started, in-flight workers
-// stop at the next point boundary, and the context's error is returned with
-// partial work discarded.
+// budget. Repeated points are answered from the result cache when
+// Config.ResultCacheBytes enables it; every other point is swept on an engine
+// from the per-dataset LRU with a Scratch from the shared free list.
+// Canceling ctx — a disconnected HTTP client above all — stops the fan-out:
+// remaining points are never started, in-flight workers stop at the next
+// point boundary, and the context's error is returned with partial work
+// discarded.
 func (s *Server) BatchQuery(ctx context.Context, name string, req BatchRequest) (*BatchResult, error) {
 	ds, err := s.Dataset(name)
 	if err != nil {
@@ -137,25 +138,19 @@ func (d *Dataset) StreamBatchQuery(ctx context.Context, req BatchRequest, cfg Co
 	batchWorkers, sweepWorkers := splitParallelism(cfg, len(req.Points))
 	// Pooled engines are never pinned, so a dataset-level answer can never go
 	// stale: the result-cache generation is a constant 0 and a hit skips the
-	// engine layer entirely.
-	results := cfg.resultCacheFor()
+	// engine layer entirely. A miss sweeps the point's pooled engine afresh.
+	results := cfg.results
 	certain := 0
 	err = runOrdered(ctx, len(req.Points), batchWorkers, cfg.streams,
 		func(i int) (PointResult, error) {
 			var key string
 			if results != nil {
-				key = resultKey(d.fingerprint, "", k, req.UseMC, 0, pointKey(req.Points[i]))
+				key = resultKey(d.fingerprint, "", k, req.UseMC, 0, req.Points[i])
 				if r, ok := results.get(key); ok {
 					return r, nil
 				}
 			}
-			r, err := func() (PointResult, error) {
-				e, ent := pool.engine(req.Points[i])
-				if ent != nil {
-					return pool.queryEntry(ent, k, req.UseMC, sweepWorkers)
-				}
-				return pool.querySweep(e, k, req.UseMC, sweepWorkers)
-			}()
+			r, err := pool.query(req.Points[i], req.UseMC, sweepWorkers)
 			if err == nil && results != nil {
 				results.put(key, r)
 			}
@@ -183,22 +178,10 @@ func (d *Dataset) StreamBatchQuery(ctx context.Context, req BatchRequest, cfg Co
 	return sum, nil
 }
 
-// queryEngine answers both CP queries for one engine with the caller's
-// Scratch. The engine may be shared across goroutines (no pins are set).
-func queryEngine(e *core.Engine, sc *core.Scratch, k int, useMC bool) (PointResult, error) {
-	var counts []float64
-	if useMC {
-		counts = e.CountsMC(sc, -1, -1)
-	} else {
-		counts = e.Counts(sc, -1, -1)
-	}
-	return assemblePointResult(e, k, append([]float64(nil), counts...))
-}
-
 // assemblePointResult derives prediction, entropy, and Q1 certainty from an
 // owned Q2 fraction slice (exact MM for binary labels, threshold certainty
-// otherwise). Both the fresh-sweep and retained-memo paths end here, so
-// their answers agree field for field.
+// otherwise). The dataset and session query paths both end here, so their
+// answers agree field for field.
 func assemblePointResult(e *core.Engine, k int, fractions []float64) (PointResult, error) {
 	r := PointResult{
 		Prediction: core.ArgmaxProb(fractions),

@@ -20,6 +20,13 @@
 //   - Batch requests fan out across a bounded worker pool mirroring
 //     cleaning.Options.Parallelism.
 //
+// Answers are cached in one place on the dataset path: the server-wide
+// result cache (Config.ResultCacheBytes). A miss sweeps the point's cached
+// engine afresh. Pooled engines are never pinned, so a retained tree could
+// only ever replay "same generation, same answer", which the result cache
+// already serves by key. Retained trees (core.Retained) live only in the
+// clean sessions' query caches, where pins move between queries.
+//
 // # Clean sessions
 //
 // A CPClean run is served as an addressable Session decoupled from any

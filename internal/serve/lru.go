@@ -47,24 +47,25 @@ func (c *lruBudget[V]) get(key string) (V, bool) {
 	return zero, false
 }
 
-// put inserts v under key and applies the budgets. When the key is already
-// present — a concurrent miss built a duplicate — the first insert wins: the
-// existing value is refreshed and returned with inserted = false, and v is
+// put inserts v under key, applies the budgets, and returns the cached value.
+// When the key is already present — a concurrent miss built a duplicate — the
+// first insert wins: the existing value is refreshed and returned, and v is
 // discarded by the caller.
-func (c *lruBudget[V]) put(key string, v V, bytes int64) (cur V, inserted bool) {
+func (c *lruBudget[V]) put(key string, v V, bytes int64) V {
 	if el, ok := c.byKey[key]; ok {
 		c.list.MoveToFront(el)
-		return el.Value.(*lruItem[V]).value, false
+		return el.Value.(*lruItem[V]).value
 	}
 	c.byKey[key] = c.list.PushFront(&lruItem[V]{key: key, value: v, bytes: bytes})
 	c.bytes += bytes
 	c.evict()
-	return v, true
+	return v
 }
 
-// reaccount refreshes an entry's byte estimate after its value grew (retained
-// term streams expand on first scan) and re-applies the byte budget. A key
-// already evicted is a no-op: nothing is accounted for it.
+// reaccount refreshes an entry's byte estimate after its value grew (a sweep
+// cached a span plan, or retained term streams expanded on first scan) and
+// re-applies the byte budget. A key already evicted is a no-op: nothing is
+// accounted for it.
 func (c *lruBudget[V]) reaccount(key string, newBytes int64) {
 	el, ok := c.byKey[key]
 	if !ok {
@@ -91,12 +92,3 @@ func (c *lruBudget[V]) evict() {
 
 // len reports the number of cached entries.
 func (c *lruBudget[V]) len() int { return c.list.Len() }
-
-// values snapshots the cached values, most recently used first.
-func (c *lruBudget[V]) values() []V {
-	out := make([]V, 0, c.list.Len())
-	for el := c.list.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*lruItem[V]).value)
-	}
-	return out
-}

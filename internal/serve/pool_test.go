@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestEngineCacheByteBudget checks the LRU is byte-counted, not just
@@ -17,7 +19,7 @@ func TestEngineCacheByteBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Size the budget from a real engine+memo footprint: room for ~3.
+	// Size the budget from a real engine footprint: room for ~3.
 	points := randPoints(24, 3, 931)
 	if _, err := s.BatchQuery(context.Background(), "d", BatchRequest{Points: points[:1]}); err != nil {
 		t.Fatal(err)
@@ -94,40 +96,37 @@ func TestConfigDefaultsIdempotent(t *testing.T) {
 	}
 }
 
-// TestQueryMemoRepeatHits checks the per-(dataset, point) retained memo:
-// repeating a batch against an unchanged dataset answers from the memo
-// (full scans stay at one per point) and bit-identically.
-func TestQueryMemoRepeatHits(t *testing.T) {
-	d := randDataset(t, 40, 3, 2, 2, 0.5, 940)
-	s := NewServer(Config{Parallelism: 2})
+// TestEngineBytesChargePlans checks the byte budget sees the span plans that
+// parallel sweeps cache on pooled engines after insertion: once span-parallel
+// queries have run, the pool's accounted bytes equal the cached engines' own
+// estimates, plan snapshots included.
+func TestEngineBytesChargePlans(t *testing.T) {
+	// Big enough that a full sweep splits into ≥ 2 spans at the default floor.
+	d := randDataset(t, 500, 3, 2, 2, 0.4, 932)
+	s := NewServer(Config{Parallelism: 2, SweepWorkers: 2})
 	defer s.Close()
 	ds, err := s.Register("d", d, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	points := randPoints(8, 2, 941)
-	first, err := s.BatchQuery(context.Background(), "d", BatchRequest{Points: points})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rep := 0; rep < 3; rep++ {
-		again, err := s.BatchQuery(context.Background(), "d", BatchRequest{Points: points})
-		if err != nil {
+	// One-point batches hand the whole budget to the sweep's span workers.
+	for _, pt := range randPoints(4, 2, 933) {
+		if _, err := s.BatchQuery(context.Background(), "d", BatchRequest{Points: [][]float64{pt}}); err != nil {
 			t.Fatal(err)
-		}
-		for i := range first.Results {
-			for y, v := range first.Results[i].Fractions {
-				if again.Results[i].Fractions[y] != v {
-					t.Fatalf("repeat %d point %d: memo answer diverged", rep, i)
-				}
-			}
 		}
 	}
 	st := ds.Stats()[0]
-	if st.Retained.FullScans != int64(len(points)) {
-		t.Fatalf("want exactly one full scan per point, got %+v", st.Retained)
+	if st.Sweep.ParallelSweeps == 0 {
+		t.Fatalf("no span-parallel sweep ran: %+v", st.Sweep)
 	}
-	if st.Retained.MemoHits < int64(3*len(points)) {
-		t.Fatalf("repeats were not memo hits: %+v", st.Retained)
+	p := ds.pool(3, s.cfg)
+	var want int64
+	p.mu.Lock()
+	for el := p.cache.list.Front(); el != nil; el = el.Next() {
+		want += el.Value.(*lruItem[*core.Engine]).value.ApproxBytes()
+	}
+	p.mu.Unlock()
+	if st.EngineBytes != want {
+		t.Fatalf("pool accounts %d engine bytes, cached engines estimate %d", st.EngineBytes, want)
 	}
 }

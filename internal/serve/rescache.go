@@ -11,7 +11,7 @@ import (
 // keyed by everything that determines a CP answer — dataset fingerprint,
 // session scope, K, accumulator mode, pin generation, and the test point's
 // exact bit pattern — so a repeated query is answered without touching an
-// engine, a Scratch, or a retained memo at all. It sits in front of
+// engine, a Scratch, or a retained tree at all. It sits in front of
 // Dataset.StreamBatchQuery (scope "", generation 0: pooled engines are never
 // pinned, so a dataset-level answer can never go stale) and
 // Session.StreamQuery (scope = session ID, generation = executed-step count:
@@ -42,10 +42,10 @@ func newResultCache(maxBytes int64) *resultCache {
 // resultKey builds the cache key. scope is "" for dataset-level queries and
 // the session ID for session-level ones; gen is the pin-state generation the
 // answer is valid for (0 at dataset level, the executed-step count at session
-// level). point is the pointKey encoding of the test point.
-func resultKey(fingerprint, scope string, k int, useMC bool, gen uint64, point string) string {
+// level). point is the test point, encoded as in pointKey.
+func resultKey(fingerprint, scope string, k int, useMC bool, gen uint64, point []float64) string {
 	var b strings.Builder
-	b.Grow(len(fingerprint) + len(scope) + len(point) + 32)
+	b.Grow(len(fingerprint) + len(scope) + 8*len(point) + 32)
 	b.WriteString(fingerprint)
 	b.WriteByte('|')
 	b.WriteString(scope)
@@ -58,7 +58,7 @@ func resultKey(fingerprint, scope string, k int, useMC bool, gen uint64, point s
 	}
 	b.WriteString(strconv.FormatUint(gen, 10))
 	b.WriteByte('|')
-	b.WriteString(point)
+	writePoint(&b, point)
 	return b.String()
 }
 
@@ -82,16 +82,6 @@ func (rc *resultCache) put(key string, r PointResult) {
 	rc.mu.Lock()
 	rc.cache.put(key, r, bytes)
 	rc.mu.Unlock()
-}
-
-// resultCacheFor returns the result cache a query path should consult: nil
-// when the cache is disabled or the query-memo ablation is on (the ablation
-// must keep every sweep counter comparable, so no layer may short-circuit).
-func (c Config) resultCacheFor() *resultCache {
-	if c.DisableQueryMemo {
-		return nil
-	}
-	return c.results
 }
 
 // ResultCacheStats is the /v1/stats result-cache block.

@@ -168,25 +168,3 @@ func TestResultCacheEviction(t *testing.T) {
 		t.Fatalf("cache holds %d bytes above the %d budget with %d entries", st.Bytes, st.MaxBytes, st.Entries)
 	}
 }
-
-// TestResultCacheAblationBypass checks DisableQueryMemo turns the result
-// cache off too: the ablation baseline's sweep counters must stay comparable,
-// so no layer may short-circuit a repeated query.
-func TestResultCacheAblationBypass(t *testing.T) {
-	d := randDataset(t, 24, 3, 2, 2, 0.5, 408)
-	s := NewServer(Config{ResultCacheBytes: 1 << 20, DisableQueryMemo: true})
-	defer s.Close()
-	if _, err := s.Register("d", d, nil, 3); err != nil {
-		t.Fatal(err)
-	}
-	points := randPoints(5, 2, 409)
-	for i := 0; i < 2; i++ {
-		if _, err := s.BatchQuery(context.Background(), "d", BatchRequest{Points: points}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats().ResultCache
-	if st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
-		t.Fatalf("ablation run touched the result cache: %+v", st)
-	}
-}

@@ -84,26 +84,21 @@ type Config struct {
 	// engines (0 = DefaultEngineCacheSize, negative = disable caching).
 	EngineCacheSize int
 	// MaxEngineBytes is the approximate heap budget of each per-(dataset, K)
-	// engine LRU — engines plus their retained-tree query memos, byte-counted
-	// rather than entry-counted, so many large engines cannot blow the heap
-	// (0 = DefaultMaxEngineBytes, negative = unlimited). The most recently
-	// used entry is always kept, so a single over-budget engine degrades to
-	// cache-of-one instead of thrashing.
+	// engine LRU, and of each clean session's query cache — engines (with
+	// their cached sweep plans) and, for session queries, their retained
+	// trees, byte-counted rather than entry-counted, so many large engines
+	// cannot blow the heap (0 = DefaultMaxEngineBytes, negative = unlimited).
+	// The most recently used entry is always kept, so a single over-budget
+	// engine degrades to cache-of-one instead of thrashing.
 	MaxEngineBytes int64
-	// DisableQueryMemo turns off the retained-tree batch-query memo: every
-	// batch Q2 runs a full SS-DC sweep — the pre-incremental behavior, kept
-	// as the benchmark/ablation baseline (BenchmarkBatchQ2_FullSweep). It
-	// also bypasses the result cache, so the ablation's sweep counters stay
-	// comparable.
-	DisableQueryMemo bool
 	// ResultCacheBytes enables the server-wide query result cache with this
 	// approximate byte budget: finished PointResults are kept by (dataset
 	// fingerprint, session, K, accumulator mode, pin generation, test point),
 	// so a repeated batch or session query is answered without touching an
-	// engine at all. Unlike the other knobs, 0 does not mean "default" — it
-	// (and any negative value) disables the cache. The cache is opt-in
-	// because a hit skips the engine/memo layers entirely, changing which
-	// /v1/stats counters a repeated query advances.
+	// engine at all. It is the only answer cache on the dataset path: with it
+	// off, a repeated dataset query sweeps its cached engine again. Unlike
+	// the other knobs, 0 does not mean "default" — it (and any negative
+	// value) disables the cache.
 	ResultCacheBytes int64
 	// MaxCleanSessions caps concurrently live clean sessions
 	// (0 = DefaultMaxCleanSessions, negative = unlimited). Creation beyond

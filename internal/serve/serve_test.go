@@ -65,44 +65,72 @@ func randPoints(n, dim int, seed int64) [][]float64 {
 }
 
 // TestBatchQueryMatchesOneShot cross-checks every batch answer against the
-// one-shot core.QueryDataset path, binary and multi-class.
+// one-shot core.QueryDataset path, binary and multi-class. Both sides run
+// the same SS-DC tally sweep, so fractions must match exactly — on a
+// sequential server, on a span-parallel one, and on a second pass answered
+// from the result cache.
 func TestBatchQueryMatchesOneShot(t *testing.T) {
 	for _, numLabels := range []int{2, 3} {
 		t.Run(fmt.Sprintf("labels=%d", numLabels), func(t *testing.T) {
 			d := randDataset(t, 40, 3, numLabels, 2, 0.4, 7)
-			s := NewServer(Config{})
-			if _, err := s.Register("d", d, knn.NegEuclidean{}, 3); err != nil {
-				t.Fatal(err)
-			}
 			points := randPoints(20, 2, 11)
-			res, err := s.BatchQuery(context.Background(), "d", BatchRequest{Points: points})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Results) != len(points) {
-				t.Fatalf("got %d results for %d points", len(res.Results), len(points))
-			}
-			for i, p := range points {
-				q1, q2, err := core.QueryDataset(d, knn.NegEuclidean{}, p, 3)
-				if err != nil {
-					t.Fatal(err)
+			check := func(t *testing.T, res *BatchResult) {
+				t.Helper()
+				if len(res.Results) != len(points) {
+					t.Fatalf("got %d results for %d points", len(res.Results), len(points))
 				}
-				r := res.Results[i]
-				for y := range q2 {
-					if math.Abs(r.Fractions[y]-q2[y]) > 1e-9 {
-						t.Fatalf("point %d label %d: batch %v vs one-shot %v", i, y, r.Fractions, q2)
+				for i, p := range points {
+					q1, q2, err := core.QueryDataset(d, knn.NegEuclidean{}, p, 3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r := res.Results[i]
+					for y := range q2 {
+						if r.Fractions[y] != q2[y] {
+							t.Fatalf("point %d label %d: batch %v vs one-shot %v", i, y, r.Fractions, q2)
+						}
+					}
+					wantCertain := false
+					for _, b := range q1 {
+						wantCertain = wantCertain || b
+					}
+					if r.Certain != wantCertain {
+						t.Fatalf("point %d: batch certain=%v, one-shot %v", i, r.Certain, wantCertain)
+					}
+					if r.Prediction != core.ArgmaxProb(q2) {
+						t.Fatalf("point %d: batch prediction %d, one-shot %d", i, r.Prediction, core.ArgmaxProb(q2))
 					}
 				}
-				wantCertain := false
-				for _, b := range q1 {
-					wantCertain = wantCertain || b
-				}
-				if r.Certain != wantCertain {
-					t.Fatalf("point %d: batch certain=%v, one-shot %v", i, r.Certain, wantCertain)
-				}
-				if r.Prediction != core.ArgmaxProb(q2) {
-					t.Fatalf("point %d: batch prediction %d, one-shot %d", i, r.Prediction, core.ArgmaxProb(q2))
-				}
+			}
+			for _, tc := range []struct {
+				name string
+				cfg  Config
+			}{
+				{"sequential", Config{}},
+				{"sweep-workers=2", Config{Parallelism: 2, SweepWorkers: 2}},
+				{"result-cache", Config{ResultCacheBytes: 1 << 20}},
+			} {
+				t.Run(tc.name, func(t *testing.T) {
+					s := NewServer(tc.cfg)
+					defer s.Close()
+					if _, err := s.Register("d", d, knn.NegEuclidean{}, 3); err != nil {
+						t.Fatal(err)
+					}
+					passes := 1
+					if tc.cfg.ResultCacheBytes > 0 {
+						passes = 2
+					}
+					for pass := 0; pass < passes; pass++ {
+						res, err := s.BatchQuery(context.Background(), "d", BatchRequest{Points: points})
+						if err != nil {
+							t.Fatal(err)
+						}
+						check(t, res)
+					}
+					if rc := s.Stats().ResultCache; rc != nil && rc.Hits != int64(len(points)) {
+						t.Fatalf("second pass was not answered from the result cache: %+v", rc)
+					}
+				})
 			}
 		})
 	}
@@ -137,72 +165,112 @@ func TestBatchQueryMCMatchesSSDC(t *testing.T) {
 // TestConcurrentBatchesShareEngines hammers one dataset from many
 // goroutines with overlapping points, so cached engines are concurrently
 // shared while each worker holds its own pooled Scratch — the engine.go
-// concurrency claim, meant to run under -race.
+// concurrency claim, meant to run under -race. The span-parallel input sends
+// one-point batches on a dataset big enough for ≥ 2 sweep spans, so the
+// goroutines also share each engine's sweep-plan cache.
 func TestConcurrentBatchesShareEngines(t *testing.T) {
-	d := randDataset(t, 60, 3, 2, 2, 0.4, 13)
-	s := NewServer(Config{Parallelism: 4})
-	if _, err := s.Register("d", d, knn.NegEuclidean{}, 3); err != nil {
-		t.Fatal(err)
-	}
-	points := randPoints(8, 2, 17) // few distinct points → guaranteed sharing
-	want, err := s.BatchQuery(context.Background(), "d", BatchRequest{Points: points})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	// Poll stats while batches run: Stats must be safe against concurrent
-	// lazy scratch-pool creation.
-	stop := make(chan struct{})
-	ds0, _ := s.Dataset("d")
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				ds0.Stats()
+	for _, tc := range []struct {
+		name   string
+		rows   int
+		cfg    Config
+		single bool // one-point batches: each gets the full SweepWorkers budget
+	}{
+		{"batches", 60, Config{Parallelism: 4}, false},
+		{"span-parallel", 500, Config{Parallelism: 2, SweepWorkers: 2}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := randDataset(t, tc.rows, 3, 2, 2, 0.4, 13)
+			s := NewServer(tc.cfg)
+			defer s.Close()
+			if _, err := s.Register("d", d, knn.NegEuclidean{}, 3); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}()
-	defer close(stop)
-	errs := make([]error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for iter := 0; iter < 5; iter++ {
-				res, err := s.BatchQuery(context.Background(), "d", BatchRequest{Points: points})
-				if err != nil {
-					errs[g] = err
-					return
+			points := randPoints(8, 2, 17) // few distinct points → guaranteed sharing
+			want, err := s.BatchQuery(context.Background(), "d", BatchRequest{Points: points})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			// Poll stats while batches run: Stats must be safe against
+			// concurrent lazy scratch-pool creation.
+			stop := make(chan struct{})
+			ds0, _ := s.Dataset("d")
+			go func() {
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						ds0.Stats()
+					}
 				}
-				for i := range points {
-					for y, f := range res.Results[i].Fractions {
+			}()
+			defer close(stop)
+			// query answers points[idx...] in one batch and checks each
+			// answer against the sequential reference.
+			query := func(g int, idx []int) error {
+				pts := make([][]float64, len(idx))
+				for j, i := range idx {
+					pts[j] = points[i]
+				}
+				res, err := s.BatchQuery(context.Background(), "d", BatchRequest{Points: pts})
+				if err != nil {
+					return err
+				}
+				for j, i := range idx {
+					for y, f := range res.Results[j].Fractions {
 						if f != want.Results[i].Fractions[y] {
-							errs[g] = fmt.Errorf("goroutine %d: point %d diverged", g, i)
-							return
+							return fmt.Errorf("goroutine %d: point %d diverged", g, i)
 						}
 					}
 				}
+				return nil
 			}
-		}(g)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	ds, _ := s.Dataset("d")
-	stats := ds.Stats()
-	if len(stats) != 1 {
-		t.Fatalf("want 1 pool, got %d", len(stats))
-	}
-	if stats[0].EngineHits == 0 {
-		t.Fatal("expected engine cache hits across repeated batches")
-	}
-	if stats[0].ScratchAllocs >= stats[0].ScratchGets {
-		t.Fatalf("scratch pool never reused: %d allocs for %d gets", stats[0].ScratchAllocs, stats[0].ScratchGets)
+			errs := make([]error, 8)
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for iter := 0; iter < 5; iter++ {
+						if !tc.single {
+							all := make([]int, len(points))
+							for i := range all {
+								all[i] = i
+							}
+							if errs[g] = query(g, all); errs[g] != nil {
+								return
+							}
+							continue
+						}
+						for j := range points {
+							if errs[g] = query(g, []int{(g + j) % len(points)}); errs[g] != nil {
+								return
+							}
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			ds, _ := s.Dataset("d")
+			stats := ds.Stats()
+			if len(stats) != 1 {
+				t.Fatalf("want 1 pool, got %d", len(stats))
+			}
+			if stats[0].EngineHits == 0 {
+				t.Fatal("expected engine cache hits across repeated batches")
+			}
+			if stats[0].ScratchAllocs >= stats[0].ScratchGets {
+				t.Fatalf("scratch pool never reused: %d allocs for %d gets", stats[0].ScratchAllocs, stats[0].ScratchGets)
+			}
+			if tc.cfg.SweepWorkers > 1 && stats[0].Sweep.ParallelSweeps == 0 {
+				t.Fatalf("no span-parallel sweep ran: %+v", stats[0].Sweep)
+			}
+		})
 	}
 }
 

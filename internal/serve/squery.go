@@ -152,18 +152,14 @@ func (q *sessionQueryCache) queryPoint(ent *squeryEntry, hist []CleanStep, useMC
 		ent.engine.SetPin(st.Row, st.Candidate)
 	}
 	if ent.retained.UseMC() != useMC {
-		// Mode flip on a warm entry: answer with a plain sweep rather than
-		// thrash the retained accumulator.
-		sp := q.ds.pool(ent.k, q.cfg).scratchesFor(ent.engine)
-		sc := sp.Get()
-		defer sp.Put(sc)
+		// Mode flip on a warm entry: answer with a plain sequential sweep
+		// rather than thrash the retained accumulator.
 		q.queries.Add(1)
-		return queryEngine(ent.engine, sc, ent.k, useMC)
-	}
-	if q.cfg.DisableQueryMemo {
-		// Ablation baseline: force the full sweep through the same code path
-		// so the scan counters stay comparable.
-		ent.retained.Invalidate()
+		counts, _, err := ent.engine.SweepCounts(ent.k, useMC, core.SweepConfig{}, q.ds.pool(ent.k, q.cfg).scratchesFor(ent.engine))
+		if err != nil {
+			return PointResult{}, err
+		}
+		return assemblePointResult(ent.engine, ent.k, counts)
 	}
 	ent.retained.ConfigureSweep(core.SweepConfig{Workers: sweepWorkers})
 	counts := ent.retained.Counts()
@@ -241,14 +237,14 @@ func (sess *Session) StreamQuery(ctx context.Context, req BatchRequest, yield fu
 	// Session answers are valid for one pin-state prefix: the history is
 	// append-only, so its snapshot length is the result-cache generation —
 	// a cleaning step bumps it and stale entries are simply never keyed again.
-	results := cfg.resultCacheFor()
+	results := cfg.results
 	gen := uint64(len(hist))
 	certain := 0
 	err := runOrdered(ctx, len(req.Points), batchWorkers, cfg.streams,
 		func(i int) (PointResult, error) {
 			var key string
 			if results != nil {
-				key = resultKey(sess.ds.fingerprint, sess.id, k, req.UseMC, gen, pointKey(req.Points[i]))
+				key = resultKey(sess.ds.fingerprint, sess.id, k, req.UseMC, gen, req.Points[i])
 				if r, ok := results.get(key); ok {
 					return r, nil
 				}

@@ -96,47 +96,60 @@ func TestSessionQueryLockstep(t *testing.T) {
 	}
 }
 
-// TestSessionQueryMatchesAblation cross-checks the memoized path against the
-// DisableQueryMemo full-sweep baseline on an identical run, and checks the
-// baseline pays more candidate scans — the quantity the benchmark reports.
+// TestSessionQueryMatchesAblation cross-checks every session answer over a
+// whole cleaning run against private engines pinned with the returned steps
+// and answered by a fresh Engine.Counts, and checks the retained path scans
+// fewer candidates than the full-sweep baseline: a core.Retained per point
+// invalidated before every query, so each query pays a full SS-DC sweep.
 func TestSessionQueryMatchesAblation(t *testing.T) {
-	run := func(cfg Config) (answers [][]float64, stats SessionQueryStats) {
-		s, _, sess := cleanFixture(t, cfg, 960)
-		defer s.Close()
-		points := randPoints(4, 2, 961)
-		for {
-			res, err := sess.Query(context.Background(), BatchRequest{Points: points})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range res.Results {
-				answers = append(answers, r.Fractions)
-			}
-			_, done, err := sess.Next(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if done {
-				break
+	s, d, sess := cleanFixture(t, Config{Parallelism: 2}, 960)
+	defer s.Close()
+	points := randPoints(4, 2, 961)
+	engines := make([]*core.Engine, len(points))
+	full := make([]*core.Retained, len(points))
+	for i, pt := range points {
+		engines[i] = core.NewEngine(d, knn.NegEuclidean{}, pt)
+		rt, err := core.NewRetained(engines[i], 3, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full[i] = rt
+	}
+	sc := engines[0].MustScratch(3)
+	for {
+		res, err := sess.Query(context.Background(), BatchRequest{Points: points})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range res.Results {
+			full[i].Invalidate()
+			full[i].Counts()
+			want := engines[i].Counts(sc, -1, -1)
+			for y, v := range want {
+				if r.Fractions[y] != v {
+					t.Fatalf("point %d label %d: session %v, fresh pinned sweep %v", i, y, r.Fractions[y], v)
+				}
 			}
 		}
-		return answers, sess.QueryStats()
-	}
-	memoAns, memoStats := run(Config{Parallelism: 2})
-	fullAns, fullStats := run(Config{Parallelism: 2, DisableQueryMemo: true})
-	if len(memoAns) != len(fullAns) {
-		t.Fatalf("run lengths diverged: %d vs %d", len(memoAns), len(fullAns))
-	}
-	for i := range memoAns {
-		for y := range memoAns[i] {
-			if memoAns[i][y] != fullAns[i][y] {
-				t.Fatalf("answer %d label %d: memo %v full %v", i, y, memoAns[i][y], fullAns[i][y])
+		steps, done, err := sess.Next(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range steps {
+			for _, e := range engines {
+				e.SetPin(st.Row, st.Candidate)
 			}
 		}
+		if done {
+			break
+		}
 	}
-	if memoStats.Retained.CandidatesScanned >= fullStats.Retained.CandidatesScanned {
-		t.Fatalf("memo path scanned %d candidates, full-sweep baseline %d — no work saved",
-			memoStats.Retained.CandidatesScanned, fullStats.Retained.CandidatesScanned)
+	var fullScanned int64
+	for _, rt := range full {
+		fullScanned += rt.Stats().CandidatesScanned
+	}
+	if memo := sess.QueryStats().Retained.CandidatesScanned; memo >= fullScanned {
+		t.Fatalf("retained path scanned %d candidates, full-sweep baseline %d — no work saved", memo, fullScanned)
 	}
 }
 

@@ -7,10 +7,10 @@ import (
 )
 
 // ServerStats is the GET /v1/stats payload: registry and session counts,
-// per-dataset engine-pool counters (cache hits, byte budgets, retained
-// query-memo reuse), the aggregated session query-memo totals, and — for a
-// durable server — the WAL health metrics (fsync count/latency, segment and
-// snapshot counts, last replay cost).
+// per-dataset engine-pool counters (engine cache hits, byte budgets, sweep
+// and scratch counters), the result-cache block, the aggregated session
+// query-memo totals, and — for a durable server — the WAL health metrics
+// (fsync count/latency, segment and snapshot counts, last replay cost).
 type ServerStats struct {
 	Datasets      int                    `json:"datasets"`
 	CleanSessions int                    `json:"clean_sessions"`

@@ -262,7 +262,7 @@ func TestRegisterRejectsEmptyCandidates(t *testing.T) {
 // TestBatchQuerySweepParallelLockstep runs the same batch on a sequential
 // server and on one with span-parallel sweeps and requires bit-for-bit
 // identical fractions — the determinism contract of the sweep planner, here
-// checked through the full serve stack (budget split, pool, retained memo).
+// checked through the full serve stack (budget split, pool, sweep planner).
 func TestBatchQuerySweepParallelLockstep(t *testing.T) {
 	// Big enough that the full scan window comfortably exceeds twice the
 	// default span floor, so the parallel server really splits.

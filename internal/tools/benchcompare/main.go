@@ -3,15 +3,16 @@
 // whose current ns/op exceeds the baseline's by more than -pct percent exits
 // nonzero, with a one-line verdict per compared benchmark either way.
 //
-//	benchcompare -baseline bench/BENCH_baseline.json -current BENCH_2026-08-07.json \
+//	benchcompare -baseline base.json -current head.json \
 //	             -pct 15 -match SweepPlanCache,ScanPositions
 //
 // -match restricts the comparison to benchmarks whose name contains one of
-// the comma-separated substrings (empty = compare everything). Benchmarks
-// missing from one side are reported as warnings, not failures: a rename or
-// a new benchmark should update the committed baseline, not break CI.
-// Improvements beyond the threshold are called out too — a committed
-// baseline that lags a big win under-protects every later change.
+// the comma-separated substrings (empty = compare everything). A matched
+// benchmark present in the baseline but missing from the current run fails
+// too: deleting or renaming a pinned benchmark must not silently drop it
+// from the gate. A benchmark only the current run has is reported as new.
+// scripts/bench_compare.sh produces both files on one machine from the base
+// revision and the working tree.
 package main
 
 import (
@@ -19,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 )
 
@@ -61,7 +63,7 @@ func main() {
 		}
 		b, ok := base[c.Name]
 		if !ok {
-			fmt.Printf("benchcompare: WARN %s: not in baseline (new benchmark? refresh the baseline)\n", c.Name)
+			fmt.Printf("benchcompare: new  %s: not in baseline\n", c.Name)
 			continue
 		}
 		if b.NsPerOp <= 0 || c.NsPerOp <= 0 {
@@ -74,22 +76,25 @@ func main() {
 			fmt.Printf("benchcompare: FAIL %s: %.0f ns/op vs baseline %.0f (%+.1f%%, threshold %+.1f%%)\n",
 				c.Name, c.NsPerOp, b.NsPerOp, delta, *pct)
 			regressions++
-		case delta < -*pct:
-			fmt.Printf("benchcompare: ok   %s: %.0f ns/op vs baseline %.0f (%+.1f%%) — faster than baseline; consider refreshing it\n",
-				c.Name, c.NsPerOp, b.NsPerOp, delta)
 		default:
 			fmt.Printf("benchcompare: ok   %s: %.0f ns/op vs baseline %.0f (%+.1f%%)\n",
 				c.Name, c.NsPerOp, b.NsPerOp, delta)
 		}
 		delete(base, c.Name)
 	}
+	missing := make([]string, 0, len(base))
 	for name := range base {
 		if matches(name, filters) {
-			fmt.Printf("benchcompare: WARN %s: in baseline but not in current run (renamed or deleted? refresh the baseline)\n", name)
+			missing = append(missing, name)
 		}
 	}
-	if regressions > 0 {
-		fmt.Printf("benchcompare: %d of %d compared benchmark(s) regressed more than %.1f%%\n", regressions, compared, *pct)
+	sort.Strings(missing)
+	for _, name := range missing {
+		fmt.Printf("benchcompare: FAIL %s: in baseline but not in current run (renamed or deleted?)\n", name)
+	}
+	if regressions > 0 || len(missing) > 0 {
+		fmt.Printf("benchcompare: %d of %d compared benchmark(s) regressed more than %.1f%%, %d missing\n",
+			regressions, compared, *pct, len(missing))
 		os.Exit(1)
 	}
 	fmt.Printf("benchcompare: %d benchmark(s) within %.1f%% of baseline\n", compared, *pct)
