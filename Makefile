@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-compare verify verify-static verify-docs clean
+.PHONY: build vet test race fuzz bench bench-compare verify verify-static verify-docs clean
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,11 @@ test:
 # package boundaries (e.g. a serve test driving the WAL).
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# Differential fuzzing of Q2: Counts, CountsMC, the span-parallel sweep and
+# Retained against brute force under random pin sequences, for 30 s.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzQ2MatchesBruteForce$$' -fuzztime 30s ./internal/core
 
 # One iteration per benchmark (a smoke pass), with the raw transcript kept
 # in bench.out and a machine-readable summary (name, ns/op, custom metrics

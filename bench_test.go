@@ -442,14 +442,14 @@ func BenchmarkBatchQ2_ParallelSweep(b *testing.B) {
 	}
 }
 
-// --- Sweep-plan cache ---------------------------------------------------------
+// --- Sweep-plan slot ----------------------------------------------------------
 
 // benchSweepPlanCache measures the span-parallel SS-DC sweep with the
-// engine's plan cache either cold (pins reset before every sweep, so each
+// engine's plan slot either cold (pins reset before every sweep, so each
 // iteration pays the full O(N) prefix re-plan) or warm (unchanged pin state,
-// so each iteration reuses the cached span plan verbatim). The delta between
-// the two rows is the prefix walk the plan cache removes; plan-hits/op and
-// plan-misses/op come from the engine's plan-cache counters and pin the cache
+// so each iteration reuses the slot's span plan verbatim). The delta between
+// the two rows is the prefix walk the slot removes; plan-hits/op and
+// plan-misses/op come from the engine's plan counters and pin the slot
 // behavior the rows claim (warm ≥ 1 hit/op, cold ≥ 1 miss/op).
 func benchSweepPlanCache(b *testing.B, warm bool) {
 	inst := benchInstance(4000, 5, 2)

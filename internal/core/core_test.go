@@ -285,10 +285,19 @@ func TestEngineOverrideEqualsPin(t *testing.T) {
 		row := rng.Intn(inst.N())
 		cand := rng.Intn(inst.M(row))
 		viaOverride := append([]float64(nil), e.Counts(sc, row, cand)...)
+		mcOverride := append([]float64(nil), e.CountsMC(sc, row, cand)...)
 		e.SetPin(row, cand)
 		viaPin := e.Counts(sc, -1, -1)
 		if d := maxAbsDiff(viaOverride, viaPin); d > 1e-12 {
 			t.Fatalf("trial %d: override %v != pin %v", trial, viaOverride, viaPin)
+		}
+		// The MC accumulator runs the same kernel with the override row
+		// folded into the pin lookup, so it must match the pin exactly.
+		mcPin := e.CountsMC(sc, -1, -1)
+		for y := range mcPin {
+			if mcOverride[y] != mcPin[y] {
+				t.Fatalf("trial %d: MC override %v != MC pin %v", trial, mcOverride, mcPin)
+			}
 		}
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/big"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/knn"
@@ -48,14 +48,10 @@ type Engine struct {
 	// bounded, and a cache older than its tail falls back to a full rescan.
 	pinLog     []PinEvent
 	pinLogBase uint64
-	// planMu guards the sweep-plan cache. Queries may share an unpinned
-	// engine across goroutines, so plan lookups lock; pin mutations are never
-	// concurrent with queries (the SetPin contract), so a plan revalidated at
-	// the current generation stays valid for the whole query and its spans
-	// can be read lock-free by scan workers.
-	planMu    sync.Mutex
-	plans     map[planKey]*SweepPlan // guarded by planMu
-	planStats PlanStats              // guarded by planMu
+	// plan is the sweep-plan slot (plan.go), read and replaced atomically so
+	// queries sharing an unpinned engine need no lock.
+	plan                 atomic.Pointer[SweepPlan]
+	planHits, planMisses atomic.Int64
 }
 
 // PinEvent is one pin mutation: row's pin moved from Old to New (−1 = no
@@ -304,54 +300,25 @@ func (e *Engine) chosen(row int, overrideRow, overrideCand int) int {
 // hypothetically clean one row for the duration of the query. The returned
 // slice (owned by sc) holds normalized fractions: out[y] = Q2/|worlds|.
 func (e *Engine) Counts(sc *Scratch, overrideRow, overrideCand int) []float64 {
-	inst := e.inst
-	for i := range sc.alpha {
-		sc.alpha[i] = 0
-	}
-	for y := range sc.counts {
-		sc.counts[y] = 0
-	}
+	return e.countsWith(sc, false, overrideRow, overrideCand)
+}
 
-	// zeroRows counts rows with α = 0. Every such row must place a candidate
-	// in the top-K (all its candidates are more similar than the boundary),
-	// so while zeroRows > K−1 (excluding the boundary row, whose α has just
-	// been incremented) the boundary support is identically zero. During
-	// that prefix only α is maintained; the trees are built in one bulk pass
-	// at the transition (built = false until then).
-	zeroRows := e.N()
-	built := false
-	for _, ref := range e.order {
-		i := int(ref.row)
-		j := int(ref.cand)
-		ch := e.chosen(i, overrideRow, overrideCand)
-		if ch >= 0 && j != ch {
-			continue // candidate eliminated by cleaning
-		}
-		mEff := inst.M(i)
-		if ch >= 0 {
-			mEff = 1
-		}
-		sc.alpha[i]++
-		if sc.alpha[i] == 1 {
-			zeroRows--
-		}
-		if zeroRows > sc.k-1 {
-			continue // provably zero boundary support; trees not needed yet
-		}
-		if !built {
-			e.buildLeaves(sc, overrideRow, overrideCand)
-			built = true
-		}
-		a := float64(sc.alpha[i]) / float64(mEff)
-		tr := sc.trees[e.labelOf[i]]
-		pos := e.rowPos[i]
-		// Query with row i forced onto the boundary: it contributes exactly
-		// one top-K slot, with probability 1/mEff of picking candidate j.
-		tr.SetLeaf(pos, 0, 1/float64(mEff))
-		e.accumulate(sc)
-		// Restore the leaf to its scanned state [α/M, 1−α/M].
-		tr.SetLeaf(pos, a, 1-a)
-	}
+// CountsMC answers Q2 with the appendix-A.3 multi-class variant: instead of
+// enumerating all C(K+|Y|−1, K) label tallies, for each winning label l and
+// winning tally c it runs a winner-cap DP over the other labels (labels
+// smaller than l capped at c−1, larger capped at c — realizing the
+// smallest-label vote tie-break exactly). O(|Y|²K³) per scanned candidate,
+// polynomial in |Y|.
+func (e *Engine) CountsMC(sc *Scratch, overrideRow, overrideCand int) []float64 {
+	return e.countsWith(sc, true, overrideRow, overrideCand)
+}
+
+// countsWith runs the whole scan through the span kernel with the add sink,
+// so every support lands straight in sc.counts.
+func (e *Engine) countsWith(sc *Scratch, useMC bool, overrideRow, overrideCand int) []float64 {
+	clear(sc.alpha)
+	clear(sc.counts)
+	e.scanSpanFlat(sc, 0, len(e.order)-1, e.N(), false, useMC, overrideRow, overrideCand, nil)
 	return sc.counts
 }
 
@@ -374,31 +341,6 @@ func (e *Engine) buildLeaves(sc *Scratch, overrideRow, overrideCand int) {
 	}
 }
 
-// accumulate adds the supports of every valid label tally for the current
-// boundary candidate into sc.counts (Algorithm 1, lines 9-12).
-func (e *Engine) accumulate(sc *Scratch) {
-	accumulateInto(sc, sc.rootsNormal, sc.counts)
-}
-
-// accumulateInto tallies every composition against the given per-label root
-// polynomials, adding each support to out[winner].
-func accumulateInto(sc *Scratch, roots [][]float64, out []float64) {
-	for ti, g := range sc.tallies {
-		prod := 1.0
-		for l, c := range g {
-			v := roots[l][c]
-			if v == 0 {
-				prod = 0
-				break
-			}
-			prod *= v
-		}
-		if prod != 0 {
-			out[sc.winners[ti]] += prod
-		}
-	}
-}
-
 // term is one recorded support contribution of a boundary-candidate scan
 // position: counts[y] += v. Retained replays term streams in the original
 // accumulation order, which keeps the re-summed counts bit-identical to a
@@ -408,84 +350,48 @@ type term struct {
 	v float64
 }
 
-// recordInto is accumulateInto with the additions captured as terms instead
-// of applied: same tally order, same products, same zero-skips.
-func recordInto(sc *Scratch, roots [][]float64, rec []term) []term {
-	for ti, g := range sc.tallies {
-		prod := 1.0
-		for l, c := range g {
-			v := roots[l][c]
-			if v == 0 {
-				prod = 0
-				break
+// accumulateTally is the tally-enumeration accumulator (Algorithm 1, lines
+// 9-12): it tallies every composition against the given per-label root
+// polynomials and adds each nonzero support to out[winner] — or, when out is
+// nil, appends it to rec as a term instead, in the same order. The sink is
+// chosen once per call, not per product. It returns rec, so the record sink
+// stays a value the inlined loop can keep in registers.
+func accumulateTally(sc *Scratch, roots [][]float64, out []float64, rec []term) []term {
+	if out != nil {
+		for ti, g := range sc.tallies {
+			if prod := tallySupport(roots, g); prod != 0 {
+				out[sc.winners[ti]] += prod
 			}
-			prod *= v
 		}
-		if prod != 0 {
+		return rec
+	}
+	for ti, g := range sc.tallies {
+		if prod := tallySupport(roots, g); prod != 0 {
 			rec = append(rec, term{y: int32(sc.winners[ti]), v: prod})
 		}
 	}
 	return rec
 }
 
-// CountsMC answers Q2 with the appendix-A.3 multi-class variant: instead of
-// enumerating all C(K+|Y|−1, K) label tallies, for each winning label l and
-// winning tally c it runs a winner-cap DP over the other labels (labels
-// smaller than l capped at c−1, larger capped at c — realizing the
-// smallest-label vote tie-break exactly). O(|Y|²K³) per scanned candidate,
-// polynomial in |Y|.
-func (e *Engine) CountsMC(sc *Scratch, overrideRow, overrideCand int) []float64 {
-	inst := e.inst
-	for i := range sc.alpha {
-		sc.alpha[i] = 0
+// tallySupport is the support of one label tally g: the product of each
+// label's root coefficient at its count, 0 as soon as one factor is 0.
+func tallySupport(roots [][]float64, g []int) float64 {
+	prod := 1.0
+	for l, c := range g {
+		v := roots[l][c]
+		if v == 0 {
+			return 0
+		}
+		prod *= v
 	}
-	for y := range sc.counts {
-		sc.counts[y] = 0
-	}
-	zeroRows := e.N()
-	built := false
-	for _, ref := range e.order {
-		i := int(ref.row)
-		j := int(ref.cand)
-		ch := e.chosen(i, overrideRow, overrideCand)
-		if ch >= 0 && j != ch {
-			continue
-		}
-		mEff := inst.M(i)
-		if ch >= 0 {
-			mEff = 1
-		}
-		sc.alpha[i]++
-		if sc.alpha[i] == 1 {
-			zeroRows--
-		}
-		if zeroRows > sc.k-1 {
-			continue
-		}
-		if !built {
-			e.buildLeaves(sc, overrideRow, overrideCand)
-			built = true
-		}
-		a := float64(sc.alpha[i]) / float64(mEff)
-		tr := sc.trees[e.labelOf[i]]
-		pos := e.rowPos[i]
-		tr.SetLeaf(pos, 0, 1/float64(mEff))
-		e.accumulateMC(sc)
-		tr.SetLeaf(pos, a, 1-a)
-	}
-	return sc.counts
+	return prod
 }
 
-// accumulateMC adds supports via the winner-cap DP.
-func (e *Engine) accumulateMC(sc *Scratch) {
-	e.recordMC(sc, nil)
-}
-
-// recordMC is accumulateMC with an optional term recorder: with rec == nil
-// the supports are added into sc.counts (the normal query path); otherwise
-// they are appended to rec in the same (l, c) order and sc.counts is left
-// untouched.
-func (e *Engine) recordMC(sc *Scratch, rec *[]term) {
+// accumulateMC is the appendix-A.3 winner-cap DP accumulator: it adds each
+// (winning label, winning tally) support into out — or, when out is nil,
+// appends it to rec as a term instead, in the same (l, c) order — and
+// returns rec.
+func (e *Engine) accumulateMC(sc *Scratch, out []float64, rec []term) []term {
 	k := sc.k
 	for l := 0; l < e.numLabels; l++ {
 		rootL := sc.trees[l].Root()
@@ -528,14 +434,15 @@ func (e *Engine) recordMC(sc *Scratch, rec *[]term) {
 				dp, next = next, dp
 			}
 			if dp[rem] != 0 {
-				if rec != nil {
-					*rec = append(*rec, term{y: int32(l), v: wl * dp[rem]})
+				if out == nil {
+					rec = append(rec, term{y: int32(l), v: wl * dp[rem]})
 				} else {
-					sc.counts[l] += wl * dp[rem]
+					out[l] += wl * dp[rem]
 				}
 			}
 		}
 	}
+	return rec
 }
 
 // Entropy returns the Shannon entropy (nats) of the Q2 distribution under
@@ -631,7 +538,7 @@ func (e *Engine) HypothesisCounts(sc *Scratch, row int) [][]float64 {
 				if !built {
 					build()
 				}
-				accumulateInto(sc, sc.rootsPre, sc.own[j])
+				accumulateTally(sc, sc.rootsPre, sc.own[j], nil)
 			}
 			continue
 		}
@@ -663,8 +570,8 @@ func (e *Engine) HypothesisCounts(sc *Scratch, row int) [][]float64 {
 		if l == lRow {
 			preTree.SetLeaf(pos, force0, force1)
 		}
-		accumulateInto(sc, sc.rootsNormal, sc.cumPost)
-		accumulateInto(sc, sc.rootsPre, sc.cumPre)
+		accumulateTally(sc, sc.rootsNormal, sc.cumPost, nil)
+		accumulateTally(sc, sc.rootsPre, sc.cumPre, nil)
 		sc.trees[l].SetLeaf(pos, a, 1-a)
 		if l == lRow {
 			preTree.SetLeaf(pos, a, 1-a)

@@ -118,3 +118,37 @@ func TestArgmaxProb(t *testing.T) {
 		t.Fatal("tie should go to the smaller label")
 	}
 }
+
+// TestScratchPoolRejectsWrongShape checks a pool only deals in Scratches of
+// its own shape: with equal K but different rows per label, SweepCounts and
+// NewRetained reject the pool with an error (instead of a span worker
+// panicking where no caller can recover), and Put panics on the foreign
+// Scratch.
+func TestScratchPoolRejectsWrongShape(t *testing.T) {
+	sims := [][]float64{{0.1, 0.5}, {0.2}, {0.9, 0.3}, {0.4}, {0.7, 0.6}}
+	a := NewEngineFromInstance(MustNewInstance(sims, []int{0, 0, 0, 1, 1}, 2))
+	b := NewEngineFromInstance(MustNewInstance(sims, []int{0, 0, 1, 1, 1}, 2))
+	pa, err := NewScratchPool(a, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := NewScratchPool(b, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := a.SweepCounts(2, false, SweepConfig{Workers: 2, MinSpanPositions: 1}, pb); err == nil {
+		t.Fatal("SweepCounts accepted a pool of another shape")
+	}
+	if _, err := NewRetained(a, 2, false, pb); err == nil {
+		t.Fatal("NewRetained accepted a pool of another shape")
+	}
+	if _, _, err := a.SweepCounts(2, false, SweepConfig{Workers: 2, MinSpanPositions: 1}, pa); err != nil {
+		t.Fatalf("own pool rejected: %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Put accepted a Scratch of another shape")
+		}
+	}()
+	pa.Put(pb.Get())
+}

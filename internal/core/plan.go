@@ -1,61 +1,35 @@
 package core
 
-import "slices"
+// This file holds the engine's sweep-plan slot: the output of one full-window
+// planSpans prefix pass, kept so a repeated sweep of an unchanged engine skips
+// the O(NM) α walk. The slot holds at most one plan and serves it only when
+// the pin generation, K and span count all match; anything else re-plans and
+// replaces it. Plans are immutable once stored, so scan workers read their
+// spans without a lock. Two concurrent misses may both plan and the last
+// store wins — wasted work, never a wrong plan, because both are computed at
+// the same generation (pin mutations are never concurrent with queries).
 
-// This file implements the sweep-plan cache: the integer-only α prefix pass
-// of planSpans extracted into a first-class, engine-resident SweepPlan that
-// repeated sweeps reuse instead of re-walking the prefix. A plan is keyed by
-// (K, window, span count) and stamped with the pin generation its snapshots
-// were taken at; the engine's bounded pin log (PinsSince) revalidates it:
-//
-//   - unchanged generation → served verbatim (hit);
-//   - every pin since touched rows whose candidate spans lie beyond the
-//     window → valid verbatim, re-stamped (hit);
-//   - every pin since touched rows whose spans start after the emit
-//     transition → the transition and the span boundaries are provably
-//     unchanged, so only the α snapshots past the first changed position are
-//     replayed forward from the last still-valid snapshot (partial);
-//   - anything else (a changed row reaching the pre-emit prefix, a ResetPins,
-//     a log that aged out) → full re-plan (miss).
-//
-// Soundness of the repair tiers: α entering any position p is determined by
-// the advance decisions at positions < p, and the decision at position q
-// involves only the row owning q's candidate, whose span starts at or before
-// q. So if every changed row's span starts at or after minFirst, the whole
-// trajectory — α, the zero-row count, and the emit transition it selects —
-// is unchanged below minFirst. TestPlanCacheMatchesPlanSpans pins the
-// resulting plans field-for-field against uncached planSpans across random
-// pin/unpin/reset sequences.
-
-// planKey identifies one cached sweep plan: the query K, the inclusive scan
-// window, and the span count the plan was sized for.
-type planKey struct {
-	k, lo, hi, numSpans int
-}
-
-// SweepPlan is the reusable output of one planSpans prefix pass: the emit
+// SweepPlan is the output of one full-window planSpans pass: the emit
 // transition and the planned spans with their α snapshots, valid for pin
-// generation gen. Spans are read-only to scan workers (runSpans copies each
-// snapshot into a Scratch); only refreshPlanLocked mutates them, under the
-// engine's plan lock and never concurrently with queries.
+// generation gen. Read-only after it is stored.
 type SweepPlan struct {
-	key       planKey
-	gen       uint64 // pin generation the snapshots are valid for
-	emitStart int
-	spans     []sweepSpan
+	k, numSpans int
+	gen         uint64 // pin generation the snapshots are valid for
+	emitStart   int
+	spans       []sweepSpan
 }
 
-// PlanStats counts plan-cache outcomes. All fields are monotonically
+// PlanStats counts plan-slot outcomes. All fields are monotonically
 // increasing totals.
 type PlanStats struct {
-	// Hits counts plans served with their snapshots intact (unchanged
-	// generation, or pins provably outside the window).
+	// Hits counts plans served verbatim from the slot (same generation, K
+	// and span count).
 	Hits int64 `json:"hits"`
-	// Partials counts plans served after a snapshot-only repair (pins past
-	// the emit transition; boundaries reused, snapshots replayed forward).
+	// Partials is always 0: no plan is ever repaired in place. The field
+	// stays so existing readers of the stats keep compiling.
 	Partials int64 `json:"partials"`
-	// Misses counts full re-plans (first use, pins reaching the pre-emit
-	// prefix, ResetPins, or an aged-out pin log).
+	// Misses counts planSpans passes run for span-parallel sweeps: slot
+	// misses plus Retained's windowed delta plans.
 	Misses int64 `json:"misses"`
 }
 
@@ -66,18 +40,8 @@ func (s *PlanStats) Add(other PlanStats) {
 	s.Misses += other.Misses
 }
 
-// planOutcome classifies a cache revalidation.
-type planOutcome int
-
-const (
-	planStale planOutcome = iota
-	planHit
-	planPartial
-)
-
 // advanceAlpha applies scan position pos to an α trajectory under the
-// engine's current pins, returning the updated zero-row count — the single
-// step every plan pass (planSpans, plan repair, sub-slicing) shares.
+// engine's current pins, returning the updated zero-row count.
 func (e *Engine) advanceAlpha(pos int, alpha []int32, zeroRows int) int {
 	ref := e.order[pos]
 	i := int(ref.row)
@@ -91,219 +55,37 @@ func (e *Engine) advanceAlpha(pos int, alpha []int32, zeroRows int) int {
 	return zeroRows
 }
 
-// sortedPlanKeys collects the plan cache's keys in a deterministic order —
-// the sanctioned sorted-keys iteration for cache maps read in deterministic
-// scope (cpvet maporder): callers range over the returned slice, never over
-// the map itself.
-func sortedPlanKeys(m map[planKey]*SweepPlan) []planKey {
-	keys := make([]planKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, func(a, b planKey) int {
-		switch {
-		case a.k != b.k:
-			return a.k - b.k
-		case a.lo != b.lo:
-			return a.lo - b.lo
-		case a.hi != b.hi:
-			return a.hi - b.hi
-		default:
-			return a.numSpans - b.numSpans
-		}
-	})
-	return keys
-}
-
-// planFor returns the span plan for scan window [lo, hi] with numSpans spans
-// under the engine's current pins, from the plan cache when its snapshots are
-// still (or repairably) valid. The returned plan is at the current pin
-// generation; callers treat its spans as read-only. Plan state feeds replayed
-// scans, so the body is deterministic scope: iteration over the cache map
-// goes through sortedPlanKeys.
-//
-//cpvet:deterministic
-func (e *Engine) planFor(k, lo, hi, numSpans int) *SweepPlan {
-	key := planKey{k: k, lo: lo, hi: hi, numSpans: numSpans}
+// planFor returns the full-window span plan with numSpans spans under the
+// engine's current pins: the slot's plan when it was made at this pin
+// generation for the same K and span count, a fresh planSpans pass (which
+// then replaces the slot) otherwise. Callers treat the spans as read-only.
+func (e *Engine) planFor(k, numSpans int) *SweepPlan {
 	gen := e.pinGen // pin mutations are never concurrent with queries
-	e.planMu.Lock()
-	defer e.planMu.Unlock()
-	if p, ok := e.plans[key]; ok {
-		switch e.refreshPlanLocked(p, gen) {
-		case planHit:
-			e.planStats.Hits++
-			return p
-		case planPartial:
-			e.planStats.Partials++
-			return p
-		}
+	if p := e.plan.Load(); p != nil && p.gen == gen && p.k == k && p.numSpans == numSpans {
+		e.planHits.Add(1)
+		return p
 	}
-	// Full re-plan. A sibling plan over the same window already at this
-	// generation knows the emit transition — numSpans does not affect it —
-	// so thread it through instead of re-deriving it position by position.
-	emitStart := -1
-	for _, sk := range sortedPlanKeys(e.plans) {
-		if sk.k == k && sk.lo == lo && sk.hi == hi && e.plans[sk].gen == gen {
-			emitStart = e.plans[sk].emitStart
-			break
-		}
-	}
-	es, spans := e.planSpans(k, lo, hi, numSpans, emitStart)
-	p := &SweepPlan{key: key, gen: gen, emitStart: es, spans: spans}
-	if e.plans == nil {
-		e.plans = make(map[planKey]*SweepPlan)
-	}
-	e.plans[key] = p
-	e.planStats.Misses++
+	emitStart, spans := e.planSpans(k, 0, len(e.order)-1, numSpans)
+	p := &SweepPlan{k: k, numSpans: numSpans, gen: gen, emitStart: emitStart, spans: spans}
+	e.plan.Store(p)
+	e.planMisses.Add(1)
 	return p
 }
 
-// refreshPlanLocked revalidates a cached plan against the current pin
-// generation through the engine's pin log, repairing snapshots in place when
-// the boundaries are provably unchanged — it rewrites the α snapshots that
-// replayed scans seed from, hence deterministic scope. Caller holds e.planMu.
-//
-//cpvet:deterministic
-func (e *Engine) refreshPlanLocked(p *SweepPlan, gen uint64) planOutcome {
-	if p.gen == gen {
-		return planHit
-	}
-	events, ok := e.PinsSince(p.gen)
-	if !ok {
-		return planStale // aged out of the bounded pin log
-	}
-	minFirst := len(e.order)
-	for _, ev := range events {
-		if ev.Row < 0 {
-			return planStale // ResetPins: every row may have changed
-		}
-		if f := e.firstPos[ev.Row]; f < minFirst {
-			minFirst = f
-		}
-	}
-	if minFirst > p.key.hi {
-		// Every changed row's candidate span lies beyond the window: no
-		// advance decision at a position ≤ hi moved, so the plan is valid
-		// verbatim under the new generation.
-		p.gen = gen
-		return planHit
-	}
-	if len(p.spans) == 0 || minFirst <= p.emitStart {
-		// A changed row reaches into the pre-emit prefix: the transition
-		// itself may have moved. Re-plan from scratch.
-		return planStale
-	}
-	// Partial repair: emitStart and therefore every span boundary are
-	// unchanged (the trajectory below minFirst is untouched, and with it the
-	// zero-row count entering every position ≤ emitStart). Only the α
-	// snapshots at span starts beyond minFirst can differ; replay them
-	// forward from the last still-valid snapshot instead of from position 0.
-	s0 := 0
-	for s0+1 < len(p.spans) && p.spans[s0+1].lo <= minFirst {
-		s0++
-	}
-	alpha := slices.Clone(p.spans[s0].alpha)
-	zeroRows := p.spans[s0].zeroRows
-	for t := s0 + 1; t < len(p.spans); t++ {
-		for pos := p.spans[t-1].lo; pos < p.spans[t].lo; pos++ {
-			zeroRows = e.advanceAlpha(pos, alpha, zeroRows)
-		}
-		copy(p.spans[t].alpha, alpha)
-		p.spans[t].zeroRows = zeroRows
-	}
-	p.gen = gen
-	return planPartial
-}
-
-// subSlicePlan derives the plan for sub-window [lo, hi] with numSpans spans
-// from a full-window plan at the current pin generation — field-for-field
-// what planSpans(k, lo, hi, numSpans, -1) would return, but seeded from the
-// cached α snapshots: each windowed span start replays from the nearest
-// snapshot at or below it instead of from position 0, so a deep window costs
-// O(full span length) integer work instead of O(N). This is what lets
-// Retained's windowed delta replays split hot windows below the full sweep's
-// span floor: the plan is nearly free, only the per-span tree rebuild
-// remains. Produces the α snapshots replayed scans seed from — deterministic
-// scope.
-//
-//cpvet:deterministic
-func (e *Engine) subSlicePlan(full *SweepPlan, lo, hi, numSpans int) (emitStart int, spans []sweepSpan) {
-	// The zero-rows transition is global and monotone, so the windowed
-	// transition is the full plan's clamped into the window — exactly where
-	// planSpans' search would stop.
-	emitStart = full.emitStart
-	if emitStart < lo {
-		emitStart = lo
-	}
-	if emitStart > hi {
-		return hi + 1, nil
-	}
-	window := hi - emitStart + 1
-	if numSpans > window {
-		numSpans = window
-	}
-	if numSpans < 1 {
-		numSpans = 1
-	}
-	spanLen := (window + numSpans - 1) / numSpans
-
-	// Seed the replay from the latest full-plan snapshot at or below the
-	// first windowed span start; full.spans[0].lo == full.emitStart ≤
-	// emitStart whenever the window emits at all, so a seed always exists.
-	j := 0
-	for j+1 < len(full.spans) && full.spans[j+1].lo <= emitStart {
-		j++
-	}
-	alpha := slices.Clone(full.spans[j].alpha)
-	zeroRows := full.spans[j].zeroRows
-	cur := full.spans[j].lo
-	for pos := emitStart; pos <= hi; pos += spanLen {
-		// Jump ahead to any later snapshot between the replay point and this
-		// span start rather than replaying across it.
-		for j+1 < len(full.spans) && full.spans[j+1].lo <= pos {
-			j++
-			if full.spans[j].lo > cur {
-				copy(alpha, full.spans[j].alpha)
-				zeroRows = full.spans[j].zeroRows
-				cur = full.spans[j].lo
-			}
-		}
-		for ; cur < pos; cur++ {
-			zeroRows = e.advanceAlpha(cur, alpha, zeroRows)
-		}
-		end := pos + spanLen - 1
-		if end > hi {
-			end = hi
-		}
-		spans = append(spans, sweepSpan{
-			lo:       pos,
-			hi:       end,
-			zeroRows: zeroRows,
-			alpha:    slices.Clone(alpha),
-		})
-	}
-	return emitStart, spans
-}
-
-// PlanStats snapshots the engine's plan-cache counters.
+// PlanStats snapshots the engine's plan-slot counters.
 func (e *Engine) PlanStats() PlanStats {
-	e.planMu.Lock()
-	defer e.planMu.Unlock()
-	return e.planStats
+	return PlanStats{Hits: e.planHits.Load(), Misses: e.planMisses.Load()}
 }
 
-// planBytes sums the plan cache's snapshot footprint for byte-budgeted
-// caches. Iteration goes through sortedPlanKeys (cpvet maporder).
+// planBytes is the slot's snapshot footprint, for byte-budgeted caches.
 func (e *Engine) planBytes() int64 {
-	e.planMu.Lock()
-	defer e.planMu.Unlock()
-	var b int64
-	for _, k := range sortedPlanKeys(e.plans) {
-		p := e.plans[k]
-		for i := range p.spans {
-			b += int64(cap(p.spans[i].alpha))*4 + 32
-		}
-		b += 64
+	p := e.plan.Load()
+	if p == nil {
+		return 0
+	}
+	b := int64(64)
+	for i := range p.spans {
+		b += int64(cap(p.spans[i].alpha))*4 + 32
 	}
 	return b
 }

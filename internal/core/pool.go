@@ -2,28 +2,10 @@ package core
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
-
-// ShapeKey returns a canonical string identifying the engine's *scratch
-// shape*: the per-label row counts (in label order) that size a Scratch's
-// segment trees and buffers. Two engines with equal shape keys can share
-// Scratches of the same K — the property CPClean exploits across
-// validation-point engines and the serving layer exploits across pooled
-// engines of one dataset.
-func (e *Engine) ShapeKey() string {
-	var b strings.Builder
-	for l, n := range e.labelLen {
-		if l > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(n))
-	}
-	return b.String()
-}
 
 // K returns the K the scratch was allocated for.
 func (sc *Scratch) K() int { return sc.k }
@@ -41,7 +23,7 @@ func (e *Engine) ApproxBytes() int64 {
 	b += n * (8 + 8)     // firstPos, lastPos
 	b += int64(len(e.pinLog)) * 12
 	b += int64(e.numLabels) * 8 // labelLen
-	b += e.planBytes()          // cached sweep plans (α snapshots)
+	b += e.planBytes()          // the sweep-plan slot (α snapshots)
 	return b
 }
 
@@ -73,16 +55,14 @@ func treeBytes(n, k int) int64 {
 	return int64(2*size*(k+1)) * 8
 }
 
-// CompatibleWith reports whether sc (allocated for some engine with the
-// given K) can serve queries against e: same K and same per-label tree
-// sizes. Note rows must also appear in the same label order for answers to
-// be meaningful, which holds whenever both engines view the same dataset.
-func (sc *Scratch) CompatibleWith(e *Engine, k int) bool {
-	if sc.k != k || len(sc.trees) != e.numLabels {
+// fits reports whether sc was allocated for shape sh and K k: same K and
+// same per-label tree sizes.
+func (sc *Scratch) fits(sh scratchShape, k int) bool {
+	if sc.k != k || len(sc.trees) != len(sh.labelLen) {
 		return false
 	}
 	for l, tr := range sc.trees {
-		if tr.Len() != e.labelLen[l] {
+		if tr.Len() != sh.labelLen[l] {
 			return false
 		}
 	}
@@ -104,9 +84,9 @@ func (e *Engine) ResetPins() {
 // trees dominate and cost O(N·K) memory — across queries, goroutines, and
 // engines of identical shape.
 type ScratchPool struct {
-	k        int
-	shapeKey string
-	pool     sync.Pool
+	k     int
+	shape scratchShape
+	pool  sync.Pool
 	// allocs counts Scratches built fresh; gets counts Get calls. The
 	// difference is the number of reuses (modulo GC-evicted pool entries).
 	allocs atomic.Int64
@@ -122,7 +102,7 @@ func NewScratchPool(template *Engine, k int) (*ScratchPool, error) {
 		return nil, err
 	}
 	sh := template.shape()
-	p := &ScratchPool{k: k, shapeKey: template.ShapeKey()}
+	p := &ScratchPool{k: k, shape: sh}
 	p.pool.New = func() interface{} {
 		p.allocs.Add(1)
 		return newScratchFromShape(sh, k)
@@ -130,8 +110,15 @@ func NewScratchPool(template *Engine, k int) (*ScratchPool, error) {
 	return p, nil
 }
 
-// K returns the K the pool's Scratches are allocated for.
-func (p *ScratchPool) K() int { return p.k }
+// check returns an error unless the pool's Scratches can serve K-k
+// queries against e: same K and the same per-label row counts.
+func (p *ScratchPool) check(e *Engine, k int) error {
+	if p.k != k || !slices.Equal(p.shape.labelLen, e.labelLen) {
+		return fmt.Errorf("core: scratch pool (K=%d, rows per label %v) does not fit K=%d on an engine with rows per label %v",
+			p.k, p.shape.labelLen, k, e.labelLen)
+	}
+	return nil
+}
 
 // Get returns a Scratch for exclusive use by the calling goroutine. Release
 // it with Put when the query results derived from it are no longer needed
@@ -148,8 +135,9 @@ func (p *ScratchPool) Put(sc *Scratch) {
 	if sc == nil {
 		return
 	}
-	if sc.k != p.k {
-		panic(fmt.Sprintf("core: returning K=%d scratch to K=%d pool", sc.k, p.k))
+	if !sc.fits(p.shape, p.k) {
+		panic(fmt.Sprintf("core: K=%d scratch does not fit the K=%d pool with rows per label %v",
+			sc.k, p.k, p.shape.labelLen))
 	}
 	p.pool.Put(sc)
 }

@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // Retained is the retained-tree incremental Q2 mode: it answers repeated
 // Q2/entropy queries for one (engine, K) pair while the engine's pins evolve,
 // reusing the previous answer's scan state instead of re-running the full
@@ -41,8 +39,7 @@ type Retained struct {
 	k     int
 	useMC bool
 
-	pool *ScratchPool // optional; otherwise a private Scratch is kept
-	own  *Scratch
+	pool *ScratchPool // lends the scan Scratches
 
 	valid    bool
 	gen      uint64
@@ -60,8 +57,7 @@ type Retained struct {
 	results []spanResult
 
 	// sweep selects the span-parallel scan (sweep.go) for rescans whose
-	// window is wide enough to split; requires a scratch pool (each worker
-	// borrows its own scan state). Zero value = sequential.
+	// window is wide enough to split. Zero value = sequential.
 	sweep      SweepConfig
 	sweepStats SweepStats
 
@@ -98,15 +94,16 @@ func (s *RetainedStats) Add(other RetainedStats) {
 // NewRetained builds a retained-tree query mode over e for the given K.
 // useMC selects the appendix-A.3 multi-class accumulator (matching
 // Engine.CountsMC) instead of tally enumeration (Engine.Counts). scratches,
-// when non-nil, lends the scan Scratch per (re)scan — it must be a pool of
-// e's shape with the same K; with nil a private Scratch is allocated lazily
-// and retained.
+// when non-nil, lends the scan Scratches per (re)scan — it must be a pool of
+// e's shape with the same K; with nil the Retained keeps a private pool.
 func NewRetained(e *Engine, k int, useMC bool, scratches *ScratchPool) (*Retained, error) {
 	if err := validateK(e.inst, k); err != nil {
 		return nil, err
 	}
-	if scratches != nil && scratches.K() != k {
-		return nil, fmt.Errorf("core: retained K=%d but scratch pool K=%d", k, scratches.K())
+	if scratches == nil {
+		scratches, _ = NewScratchPool(e, k) // K is validated above
+	} else if err := scratches.check(e, k); err != nil {
+		return nil, err
 	}
 	return &Retained{
 		e:      e,
@@ -131,9 +128,7 @@ func (r *Retained) Generation() uint64 { return r.gen }
 func (r *Retained) Stats() RetainedStats { return r.stats }
 
 // ConfigureSweep selects the span-parallel scan for future rescans. Answers
-// stay bit-identical to the sequential path for every worker count; without a
-// scratch pool (NewRetained's scratches == nil) the config is ignored and
-// scans stay sequential, since each span worker needs its own scan state.
+// stay bit-identical to the sequential path for every worker count.
 func (r *Retained) ConfigureSweep(cfg SweepConfig) { r.sweep = cfg }
 
 // SweepStats snapshots the span-parallel scan counters.
@@ -232,27 +227,38 @@ func (r *Retained) deltaWindow(events []PinEvent) (lo, hi int, usable bool) {
 // current pins, re-records their term streams, and re-sums every position's
 // terms in scan order. Positions outside the window keep their retained
 // terms — the callers guarantee those are bit-identical under the current
-// pins. rescan(0, len(order)−1) is a full sweep. When a sweep config is set
-// (ConfigureSweep) and the engine is large enough for span parallelism, the
-// window runs through the engine's plan cache (rescanPlanned); either way
-// the term streams — and therefore the re-summed counts — are bit-identical.
+// pins. rescan(0, len(order)−1) is a full sweep. The window is planned into
+// spans and the spans scanned: one span when the sweep config asks for no
+// parallelism or the engine is too small to split, the engine's plan slot for
+// a parallel full rescan, and a direct planSpans pass (split at the delta
+// floor) for a parallel windowed replay. Either way the term streams — and
+// therefore the re-summed counts — are bit-identical.
 func (r *Retained) rescan(lo, hi int) {
 	e := r.e
 	total := len(e.order)
-	workers, fullSpans := r.sweep.planSize(e.N(), total)
-	if r.pool != nil && workers > 1 && fullSpans >= 2 {
-		r.rescanPlanned(lo, hi, workers, fullSpans)
-	} else {
-		r.rescanSeq(lo, hi)
+	workers, numSpans := r.sweep.planSize(e.N(), total)
+	var spans []sweepSpan
+	switch {
+	case workers <= 1 || numSpans < 2:
+		_, spans = e.planSpans(r.k, lo, hi, 1)
+	case lo == 0 && hi == total-1:
+		spans = e.planFor(r.k, numSpans).spans
+	default:
+		_, numSpans = r.sweep.deltaPlanSize(hi - lo + 1)
+		_, spans = e.planSpans(r.k, lo, hi, numSpans)
+		e.planMisses.Add(1)
 	}
-	r.stats.CandidatesAvoided += int64(len(e.order) - (hi - lo + 1))
+	results := r.ensureResults(len(spans))
+	stats, scanned := e.runSpans(spans, r.useMC, workers, r.pool, results)
+	r.sweepStats.Add(stats)
+	r.stats.CandidatesScanned += scanned
+	r.stats.CandidatesAvoided += int64(total - (hi - lo + 1))
+	r.splice(lo, hi, spans, results)
 
 	// Re-sum all positions' terms in scan order: each addition has the same
 	// operands in the same sequence as a fresh sweep's accumulation, so the
 	// result is bit-identical.
-	for y := range r.counts {
-		r.counts[y] = 0
-	}
+	clear(r.counts)
 	for i := range r.terms {
 		r.counts[r.terms[i].y] += r.terms[i].v
 	}
@@ -269,77 +275,6 @@ func (r *Retained) ensureResults(n int) []spanResult {
 	}
 	r.results = r.results[:n]
 	return r.results
-}
-
-// rescanSeq is the sequential window replay.
-func (r *Retained) rescanSeq(lo, hi int) {
-	e := r.e
-	sc := r.getScratch()
-	defer r.putScratch(sc)
-
-	// Reconstruct α and the zero-row count at the window start under the
-	// current pins — pure integer work over the prefix.
-	for i := range sc.alpha {
-		sc.alpha[i] = 0
-	}
-	zeroRows := e.N()
-	for pos := 0; pos < lo; pos++ {
-		zeroRows = e.advanceAlpha(pos, sc.alpha, zeroRows)
-	}
-	// A fresh sweep builds its trees at the first position where the
-	// boundary support stops being provably zero; if that transition lies
-	// before the window, bulk-build the same leaf state here — bit-identical
-	// by the segment tree's purity invariant.
-	built := zeroRows <= sc.k-1
-	if built {
-		e.buildLeaves(sc, -1, -1)
-	}
-	results := r.ensureResults(1)
-	r.stats.CandidatesScanned += e.scanSpanFlat(sc, lo, hi, zeroRows, built, r.useMC, &results[0])
-	r.splice(lo, hi, []sweepSpan{{lo: lo, hi: hi}}, results)
-}
-
-// rescanPlanned replays window [lo, hi] through the engine's plan cache: the
-// full-scan plan is fetched (or revalidated, or repaired) once per pin
-// generation, a full rescan runs its spans directly, and a delta window is
-// sub-sliced from it — the cached α snapshots seed the window's scan state,
-// so the replay skips the O(N) sequential prefix walk, and a hot window
-// splits below the full sweep's span floor (deltaPlanSize) because planning
-// it costs almost nothing.
-func (r *Retained) rescanPlanned(lo, hi, workers, fullSpans int) {
-	e := r.e
-	total := len(e.order)
-	full := e.planFor(r.k, 0, total-1, fullSpans)
-	spans := full.spans
-	if lo != 0 || hi != total-1 {
-		_, deltaSpans := r.sweep.deltaPlanSize(hi - lo + 1)
-		_, spans = e.subSlicePlan(full, lo, hi, deltaSpans)
-	}
-	// Spans carry their own boundaries; splice truncates [lo, spans[0].lo).
-	if len(spans) == 0 {
-		r.splice(lo, hi, nil, nil)
-		return
-	}
-	results := r.ensureResults(len(spans))
-	if len(spans) < 2 {
-		// Degenerate plan (the emitting tail is one span): scan it
-		// sequentially from the snapshot — still skipping the prefix walk.
-		sp := spans[0]
-		sc := r.getScratch()
-		defer r.putScratch(sc)
-		copy(sc.alpha, sp.alpha)
-		built := sp.zeroRows <= r.k-1
-		if built {
-			e.buildLeaves(sc, -1, -1)
-		}
-		r.stats.CandidatesScanned += e.scanSpanFlat(sc, sp.lo, sp.hi, sp.zeroRows, built, r.useMC, &results[0])
-		r.splice(lo, hi, spans, results)
-		return
-	}
-	stats, scanned := e.runSpans(spans, r.k, r.useMC, workers, r.pool, results)
-	r.sweepStats.Add(stats)
-	r.stats.CandidatesScanned += scanned
-	r.splice(lo, hi, spans, results)
 }
 
 // splice replaces the retained streams of positions [lo, hi] with the freshly
@@ -390,22 +325,6 @@ func (r *Retained) splice(lo, hi int, spans []sweepSpan, results []spanResult) {
 	}
 }
 
-func (r *Retained) getScratch() *Scratch {
-	if r.pool != nil {
-		return r.pool.Get()
-	}
-	if r.own == nil {
-		r.own = newScratchFromShape(r.e.shape(), r.k)
-	}
-	return r.own
-}
-
-func (r *Retained) putScratch(sc *Scratch) {
-	if r.pool != nil {
-		r.pool.Put(sc)
-	}
-}
-
 // ApproxBytes estimates the retained state's heap footprint — the flat term
 // stream dominates at O(NM·K) — for byte-budgeted caches.
 func (r *Retained) ApproxBytes() int64 {
@@ -413,9 +332,6 @@ func (r *Retained) ApproxBytes() int64 {
 		int64(cap(r.terms))*16 + int64(len(r.offs))*8
 	for i := range r.results {
 		b += int64(cap(r.results[i].terms))*16 + int64(cap(r.results[i].offs))*4
-	}
-	if r.own != nil {
-		b += r.own.ApproxBytes()
 	}
 	return b
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -18,12 +17,13 @@ import (
 // bulk-rebuilds its trees from the snapshot, which the segment tree's purity
 // invariant (internal/segtree) guarantees reproduces exactly the node values
 // a sequential scan would carry into that position. Each position's support
-// contributions are captured as an ordered term stream (recordInto/recordMC)
-// instead of being added into a shared accumulator, and the reducer re-adds
-// every term in scan order — the same operands in the same sequence as the
-// sequential sweep, hence the same floats. TestSweepCountsMatchesSequential
-// and the extended TestRetainedMatchesFreshSSDC harness pin the property
-// across worker counts, accumulators, ties, and near-zero weights.
+// contributions are captured as an ordered term stream (the kernel's record
+// sink) instead of being added into a shared accumulator, and the reducer
+// re-adds every term in scan order — the same operands in the same sequence
+// as the sequential sweep, hence the same floats.
+// TestSweepCountsMatchesSequential and the extended
+// TestRetainedMatchesFreshSSDC harness pin the property across worker counts,
+// accumulators, ties, and near-zero weights.
 
 // DefaultMinSpanPositions is the smallest span the planner will create when
 // SweepConfig.MinSpanPositions is zero (spans also never shrink below N/4 in
@@ -95,13 +95,11 @@ func (cfg SweepConfig) planSize(n, window int) (workers, numSpans int) {
 	return workers, numSpans
 }
 
-// deltaPlanSize sizes the span plan for a windowed delta replay that
-// sub-slices a cached full-window plan. Planning such a window is nearly free
-// — a snapshot seek plus a short replay instead of an O(N) prefix walk — so
-// the span floor drops to a quarter of the full-sweep default (the remaining
-// per-span cost is the O(N·K²) tree rebuild), letting hot windows well below
-// the full sweep's floor still fan out across workers. An explicit
-// MinSpanPositions is honored unchanged.
+// deltaPlanSize sizes the span plan for a windowed delta replay. The per-span
+// cost that bounds the floor is the O(N·K²) tree rebuild, and a delta window
+// is short next to N, so the span floor drops to a quarter of the full-sweep
+// default, letting hot windows well below the full sweep's floor still fan
+// out across workers. An explicit MinSpanPositions is honored unchanged.
 func (cfg SweepConfig) deltaPlanSize(window int) (workers, numSpans int) {
 	workers = cfg.Workers
 	if workers <= 1 {
@@ -134,43 +132,28 @@ type sweepSpan struct {
 // start. Positions in [lo, emitStart) provably contribute no terms (while
 // more than K−1 rows still have all their candidates ahead of the boundary,
 // the boundary can never be in the top-K); callers only need to clear any
-// retained terms there. Pure integer work: O(hi) α updates plus
-// O(numSpans·N) snapshot copies, no tree operations.
-//
-// knownEmitStart ≥ 0 asserts the transition is already known — a sibling
-// plan over the same window at the same pin generation derived it, and the
-// span count does not affect it — so the search is skipped and the prefix is
-// replayed straight to it. Pass −1 to derive it here.
-func (e *Engine) planSpans(k, lo, hi, numSpans, knownEmitStart int) (emitStart int, spans []sweepSpan) {
+// retained terms there. Pure integer work, no tree operations: α updates up
+// to the last span's start plus one N-length snapshot copy per earlier span
+// (the last span keeps the walk's own α).
+func (e *Engine) planSpans(k, lo, hi, numSpans int) (emitStart int, spans []sweepSpan) {
 	alpha := make([]int32, e.N())
 	zeroRows := e.N()
 	for pos := 0; pos < lo; pos++ {
 		zeroRows = e.advanceAlpha(pos, alpha, zeroRows)
 	}
-	if knownEmitStart >= 0 {
-		for pos := lo; pos < knownEmitStart; pos++ {
-			zeroRows = e.advanceAlpha(pos, alpha, zeroRows)
+	// Find the transition without consuming it: a position emits iff after
+	// its own α increment zeroRows ≤ K−1, and zeroRows is monotone
+	// non-increasing, so the first such position starts the emitting tail.
+	emitStart = lo
+	for ; emitStart <= hi && zeroRows > k-1; emitStart++ {
+		ref := e.order[emitStart]
+		i := int(ref.row)
+		ch := int(e.pins[i])
+		valid := ch < 0 || int(ref.cand) == ch
+		if valid && alpha[i] == 0 && zeroRows-1 <= k-1 {
+			break // this position's own increment crosses the threshold
 		}
-		emitStart = knownEmitStart
-	} else {
-		// Find the transition without consuming it: a position emits iff after
-		// its own α increment zeroRows ≤ K−1, and zeroRows is monotone
-		// non-increasing, so the first such position starts the emitting tail.
-		pos := lo
-		for ; pos <= hi; pos++ {
-			if zeroRows <= k-1 {
-				break
-			}
-			ref := e.order[pos]
-			i := int(ref.row)
-			ch := int(e.pins[i])
-			valid := ch < 0 || int(ref.cand) == ch
-			if valid && alpha[i] == 0 && zeroRows-1 <= k-1 {
-				break // this position's own increment crosses the threshold
-			}
-			zeroRows = e.advanceAlpha(pos, alpha, zeroRows)
-		}
-		emitStart = pos
+		zeroRows = e.advanceAlpha(emitStart, alpha, zeroRows)
 	}
 	window := hi - emitStart + 1
 	if window <= 0 {
@@ -183,20 +166,17 @@ func (e *Engine) planSpans(k, lo, hi, numSpans, knownEmitStart int) (emitStart i
 		numSpans = 1
 	}
 	spanLen := (window + numSpans - 1) / numSpans
-	for pos := emitStart; pos <= hi; pos++ {
-		if (pos-emitStart)%spanLen == 0 {
-			end := pos + spanLen - 1
-			if end > hi {
-				end = hi
-			}
-			spans = append(spans, sweepSpan{
-				lo:       pos,
-				hi:       end,
-				zeroRows: zeroRows,
-				alpha:    append([]int32(nil), alpha...),
-			})
+	pos := emitStart
+	for start := emitStart; start <= hi; start += spanLen {
+		for ; pos < start; pos++ {
+			zeroRows = e.advanceAlpha(pos, alpha, zeroRows)
 		}
-		zeroRows = e.advanceAlpha(pos, alpha, zeroRows)
+		sp := sweepSpan{lo: start, hi: min(start+spanLen-1, hi), zeroRows: zeroRows, alpha: alpha}
+		if sp.hi < hi {
+			sp.alpha = append([]int32(nil), alpha...)
+		}
+		// The last span keeps the walk's own α: nothing advances it further.
+		spans = append(spans, sp)
 	}
 	return emitStart, spans
 }
@@ -251,9 +231,9 @@ func (e *Engine) scanPositions(sc *Scratch, lo, hi, zeroRows int, built, useMC b
 		// its scanned-α state — the same force/restore pair as Counts.
 		tr.SetLeaf(p, 0, 1/float64(mEff))
 		if useMC {
-			e.recordMC(sc, buf)
+			*buf = e.accumulateMC(sc, nil, *buf)
 		} else {
-			*buf = recordInto(sc, sc.rootsNormal, *buf)
+			*buf = accumulateTally(sc, sc.rootsNormal, nil, *buf)
 		}
 		tr.SetLeaf(p, a, 1-a)
 		scanned++
@@ -272,25 +252,21 @@ type spanResult struct {
 	offs  []int32 // len = span length + 1
 }
 
-// reset prepares the buffers for reuse without releasing capacity.
-func (sr *spanResult) reset() {
-	sr.terms = sr.terms[:0]
-	sr.offs = sr.offs[:0]
-}
-
-// scanSpanFlat is the flat scan kernel: it replays scan positions [lo, hi]
-// with real tree work under the engine's current pins, recording every
-// position's support terms into out's flat layout. It performs identical
-// tree operations in identical order to scanPositions — the lockstep test
-// pins stream-for-stream equality across worker counts and accumulators —
-// with the dispatch overhead gone: engine state hoisted into locals, one
-// tight loop, appends into a single flat term slice.
+// scanSpanFlat is the SS-DC boundary-candidate scan kernel (§3.1.3, appendix
+// A.2) that every production Q2 sweep runs: it replays scan positions
+// [lo, hi] with real tree work under the engine's current pins plus an
+// optional per-query override (overrideRow −1 for none). The sink is out:
+// nil adds every support straight into sc.counts (Counts, CountsMC);
+// otherwise each position's terms are recorded into out's flat layout (span
+// workers, Retained). It performs identical tree operations in identical
+// order to scanPositions — the lockstep test pins stream-for-stream equality
+// across worker counts and accumulators.
 //
-// Preconditions match scanPositions: sc.alpha holds the α state entering lo,
-// zeroRows its zero-row count, built whether sc's trees already reflect
-// sc.alpha. Returns the number of positions that performed tree work.
-func (e *Engine) scanSpanFlat(sc *Scratch, lo, hi, zeroRows int, built, useMC bool, out *spanResult) int64 {
-	out.reset()
+// Preconditions: sc.alpha holds the α state a sequential scan carries into
+// lo, zeroRows counts its zero rows, and built reports whether sc's trees
+// already reflect sc.alpha (when false they are bulk-built at the zero-rows
+// transition). Returns the number of positions that performed tree work.
+func (e *Engine) scanSpanFlat(sc *Scratch, lo, hi, zeroRows int, built, useMC bool, overrideRow, overrideCand int, out *spanResult) int64 {
 	inst := e.inst
 	order := e.order
 	pins := e.pins
@@ -298,63 +274,102 @@ func (e *Engine) scanSpanFlat(sc *Scratch, lo, hi, zeroRows int, built, useMC bo
 	rowPos := e.rowPos
 	alpha := sc.alpha
 	k := sc.k
-	terms := out.terms
-	offs := out.offs
+	// The sink: with out == nil supports add into sc.counts; otherwise the
+	// accumulators see a nil add target and record into terms instead.
+	counts := sc.counts
+	var terms []term
+	var offs []int32
+	if out != nil {
+		counts = nil
+		terms, offs = out.terms[:0], out.offs[:0]
+	}
 	var scanned int64
-	for pos := lo; pos <= hi; pos++ {
-		offs = append(offs, int32(len(terms)))
-		ref := order[pos]
+	for _, ref := range order[lo : hi+1] {
+		if out != nil {
+			offs = append(offs, int32(len(terms)))
+		}
 		i := int(ref.row)
 		ch := int(pins[i])
+		if i == overrideRow {
+			ch = overrideCand
+		}
 		if ch >= 0 && int(ref.cand) != ch {
 			continue // candidate eliminated by cleaning
-		}
-		mEff := inst.M(i)
-		if ch >= 0 {
-			mEff = 1
 		}
 		alpha[i]++
 		if alpha[i] == 1 {
 			zeroRows--
 		}
+		// Every row with α = 0 must place a candidate in the top-K, so while
+		// more than K−1 remain the boundary support is identically zero and
+		// only α is maintained; the trees are bulk-built at the transition.
 		if zeroRows > k-1 {
-			continue // provably zero boundary support (empty stream)
+			continue
 		}
 		if !built {
-			e.buildLeaves(sc, -1, -1)
+			e.buildLeaves(sc, overrideRow, overrideCand)
 			built = true
+		}
+		mEff := inst.M(i)
+		if ch >= 0 {
+			mEff = 1
 		}
 		a := float64(alpha[i]) / float64(mEff)
 		tr := sc.trees[labelOf[i]]
 		p := rowPos[i]
-		// Same force/record/restore pair as Counts and scanPositions.
+		// Force the row onto the boundary — one top-K slot, probability
+		// 1/mEff of picking this candidate — take the supports, then restore
+		// the leaf to its scanned state [α/M, 1−α/M].
 		tr.SetLeaf(p, 0, 1/float64(mEff))
 		if useMC {
-			e.recordMC(sc, &terms)
+			terms = e.accumulateMC(sc, counts, terms)
 		} else {
-			terms = recordInto(sc, sc.rootsNormal, terms)
+			terms = accumulateTally(sc, sc.rootsNormal, counts, terms)
 		}
 		tr.SetLeaf(p, a, 1-a)
 		scanned++
 	}
-	offs = append(offs, int32(len(terms)))
-	out.terms = terms
-	out.offs = offs
+	if out != nil {
+		out.terms = terms
+		out.offs = append(offs, int32(len(terms)))
+	}
 	return scanned
 }
 
-// runSpans executes the planned spans across worker goroutines. Workers pull
-// span indices from a shared counter — span s "belongs" to worker s mod
-// workers, and a pull by any other worker counts as a steal — and each holds
-// one pooled Scratch for all the spans it runs, rebuilding tree state from
-// the span's α snapshot before running the flat kernel into results[s].
-// results must have len(spans) elements; workers write disjoint elements, so
-// no cross-worker synchronization is needed. Spans (typically from a cached
-// plan) are read-only here. Returns the sweep counters and the total
-// positions that performed tree work.
-func (e *Engine) runSpans(spans []sweepSpan, k int, useMC bool, workers int, scratches *ScratchPool, results []spanResult) (SweepStats, int64) {
+// runSpan seeds sc from the span's α snapshot — bulk-building the trees when
+// the span starts past the zero-rows transition — and scans it into out.
+func (e *Engine) runSpan(sc *Scratch, sp sweepSpan, useMC bool, out *spanResult) int64 {
+	copy(sc.alpha, sp.alpha)
+	built := sp.zeroRows <= sc.k-1
+	if built {
+		e.buildLeaves(sc, -1, -1)
+	}
+	return e.scanSpanFlat(sc, sp.lo, sp.hi, sp.zeroRows, built, useMC, -1, -1, out)
+}
+
+// runSpans executes planned spans into results, which must have len(spans)
+// elements. With fewer than two spans or workers the spans run in order on
+// the calling goroutine and the returned SweepStats are zero. Otherwise
+// workers pull span indices from a shared counter — span s "belongs" to
+// worker s mod workers, and a pull by any other worker counts as a steal —
+// and each holds one pooled Scratch for all the spans it runs; workers write
+// disjoint results, so no cross-worker synchronization is needed. Spans are
+// read-only here. Returns the sweep counters and the total positions that
+// performed tree work.
+func (e *Engine) runSpans(spans []sweepSpan, useMC bool, workers int, scratches *ScratchPool, results []spanResult) (SweepStats, int64) {
 	if workers > len(spans) {
 		workers = len(spans)
+	}
+	if workers <= 1 {
+		var scanned int64
+		if len(spans) > 0 {
+			sc := scratches.Get()
+			defer scratches.Put(sc)
+			for s, sp := range spans {
+				scanned += e.runSpan(sc, sp, useMC, &results[s])
+			}
+		}
+		return SweepStats{}, scanned
 	}
 	var nextSpan, steals, scanned atomic.Int64
 	var wg sync.WaitGroup
@@ -372,13 +387,7 @@ func (e *Engine) runSpans(spans []sweepSpan, k int, useMC bool, workers int, scr
 				if s%workers != w {
 					steals.Add(1)
 				}
-				sp := spans[s]
-				copy(sc.alpha, sp.alpha)
-				built := sp.zeroRows <= k-1
-				if built {
-					e.buildLeaves(sc, -1, -1)
-				}
-				scanned.Add(e.scanSpanFlat(sc, sp.lo, sp.hi, sp.zeroRows, built, useMC, &results[s]))
+				scanned.Add(e.runSpan(sc, spans[s], useMC, &results[s]))
 			}
 		}(w)
 	}
@@ -397,13 +406,20 @@ func (e *Engine) SweepCounts(k int, useMC bool, cfg SweepConfig, scratches *Scra
 	if err := validateK(e.inst, k); err != nil {
 		return nil, SweepStats{}, err
 	}
-	if scratches != nil && scratches.K() != k {
-		return nil, SweepStats{}, fmt.Errorf("core: sweep K=%d but scratch pool K=%d", k, scratches.K())
+	if scratches != nil {
+		if err := scratches.check(e, k); err != nil {
+			return nil, SweepStats{}, err
+		}
 	}
 	counts := make([]float64, e.numLabels)
-	total := len(e.order)
-	workers, numSpans := cfg.planSize(e.N(), total)
-	if workers <= 1 || numSpans < 2 || scratches == nil {
+	workers, numSpans := cfg.planSize(e.N(), len(e.order))
+	var spans []sweepSpan
+	if scratches != nil && workers > 1 && numSpans >= 2 {
+		spans = e.planFor(k, numSpans).spans
+	}
+	if len(spans) < 2 {
+		// Sequential: nothing to split, or the emitting tail collapsed below
+		// two spans (late zero-rows transition).
 		var sc *Scratch
 		if scratches != nil {
 			sc = scratches.Get()
@@ -411,30 +427,13 @@ func (e *Engine) SweepCounts(k int, useMC bool, cfg SweepConfig, scratches *Scra
 		} else {
 			sc = newScratchFromShape(e.shape(), k)
 		}
-		if useMC {
-			copy(counts, e.CountsMC(sc, -1, -1))
-		} else {
-			copy(counts, e.Counts(sc, -1, -1))
-		}
-		return counts, SweepStats{}, nil
-	}
-	plan := e.planFor(k, 0, total-1, numSpans)
-	if len(plan.spans) < 2 {
-		// The emitting tail collapsed below two spans (late zero-rows
-		// transition): sequential is both simpler and faster.
-		sc := scratches.Get()
-		defer scratches.Put(sc)
-		if useMC {
-			copy(counts, e.CountsMC(sc, -1, -1))
-		} else {
-			copy(counts, e.Counts(sc, -1, -1))
-		}
+		copy(counts, e.countsWith(sc, useMC, -1, -1))
 		return counts, SweepStats{}, nil
 	}
 	// Each span records into its own flat term stream; appends within a span
 	// are already in scan order, so the reducer just walks spans in order.
-	results := make([]spanResult, len(plan.spans))
-	stats, _ := e.runSpans(plan.spans, k, useMC, workers, scratches, results)
+	results := make([]spanResult, len(spans))
+	stats, _ := e.runSpans(spans, useMC, workers, scratches, results)
 	for s := range results {
 		for _, t := range results[s].terms {
 			counts[t.y] += t.v

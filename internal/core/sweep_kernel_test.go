@@ -29,7 +29,7 @@ func TestScanFlatMatchesCallback(t *testing.T) {
 			}
 			for _, useMC := range []bool{false, true} {
 				for _, workers := range []int{1, 2, 4, 8} {
-					_, spans := e.planSpans(k, 0, total-1, workers*spansPerWorker, -1)
+					_, spans := e.planSpans(k, 0, total-1, workers*spansPerWorker)
 					if len(spans) == 0 {
 						continue
 					}
@@ -50,7 +50,7 @@ func TestScanFlatMatchesCallback(t *testing.T) {
 					}
 					// Flat kernel under real worker fan-out.
 					results := make([]spanResult, len(spans))
-					e.runSpans(spans, k, useMC, workers, pool, results)
+					e.runSpans(spans, useMC, workers, pool, results)
 					for s, sp := range spans {
 						res := results[s]
 						if len(res.offs) != sp.hi-sp.lo+2 {
@@ -123,6 +123,6 @@ func BenchmarkScanPositions_Flat(b *testing.B) {
 		for j := range sc.alpha {
 			sc.alpha[j] = 0
 		}
-		e.scanSpanFlat(sc, 0, total-1, e.N(), false, false, &out)
+		e.scanSpanFlat(sc, 0, total-1, e.N(), false, false, -1, -1, &out)
 	}
 }

@@ -167,7 +167,7 @@ func TestBatchQueryMCMatchesSSDC(t *testing.T) {
 // shared while each worker holds its own pooled Scratch — the engine.go
 // concurrency claim, meant to run under -race. The span-parallel input sends
 // one-point batches on a dataset big enough for ≥ 2 sweep spans, so the
-// goroutines also share each engine's sweep-plan cache.
+// goroutines also share each engine's sweep-plan slot.
 func TestConcurrentBatchesShareEngines(t *testing.T) {
 	for _, tc := range []struct {
 		name   string

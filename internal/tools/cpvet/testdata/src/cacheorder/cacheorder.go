@@ -1,8 +1,7 @@
-// Fixture pinning the deterministic-scope rule for cache code, modeled on
-// the engine's sweep-plan cache: a lookup that feeds replayed scans must not
-// range over its cache map directly — iteration goes through a sorted key
-// slice (core.sortedPlanKeys in the real code), so the sibling a rebuild
-// seeds from is the same on every run. The sorted-keys collector itself
+// Fixture pinning the deterministic-scope rule for cache code, modeled on a
+// keyed sweep-plan cache: a lookup that feeds replayed scans must not range
+// over its cache map directly — iteration goes through a sorted key slice,
+// so the sibling a rebuild seeds from is the same on every run. The sorted-keys collector itself
 // stays untagged: its own map range is the one sanctioned place order is
 // destroyed, because sorting restores it before any caller observes a key.
 package cacheorder
