@@ -23,9 +23,11 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # Differential fuzzing of Q2: Counts, CountsMC, the span-parallel sweep and
-# Retained against brute force under random pin sequences, for 30 s.
+# Retained against brute force under random pin sequences, for 30 s; then
+# the radix scan order against the MoreSimilar comparator sort, for 10 s.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzQ2MatchesBruteForce$$' -fuzztime 30s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzCandidateOrder$$' -fuzztime 10s ./internal/core
 
 # One iteration per benchmark (a smoke pass), with the raw transcript kept
 # in bench.out and a machine-readable summary (name, ns/op, custom metrics

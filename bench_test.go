@@ -191,6 +191,43 @@ func BenchmarkAblation_SSFastExact_K1_N250(b *testing.B) {
 	}
 }
 
+// newEngineSupreme builds, once per process, the similarity views of the
+// first 16 test points of the load benchmark's task (loadbench/data.go): the
+// Supreme generator at 1000 training rows, 40 validation and 1000 test
+// points (the §5.1 protocol, 20% missing cells), task seed 1.
+var newEngineSupreme = sync.OnceValues(func() ([]*core.Instance, error) {
+	spec, err := experiments.SpecByName("Supreme")
+	if err != nil {
+		return nil, err
+	}
+	scale := experiments.Small
+	scale.TrainN, scale.TestN = 1000, 1000
+	task, err := experiments.BuildTask(spec, scale, 1, 0)
+	if err != nil {
+		return nil, err
+	}
+	insts := make([]*core.Instance, 16)
+	for i, t := range task.TestX[:len(insts)] {
+		insts[i] = core.InstanceFor(task.Repairs.Dataset, task.Kernel, t)
+	}
+	return insts, nil
+})
+
+// BenchmarkNewEngine_Supreme measures engine construction — the candidate
+// scan order and the per-row spans — from a precomputed similarity view, the
+// layer a cold serving point pays for on every engine-cache miss.
+func BenchmarkNewEngine_Supreme(b *testing.B) {
+	insts, err := newEngineSupreme()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		core.NewEngineFromInstance(insts[i%len(insts)])
+	}
+	b.ReportMetric(float64(insts[0].TotalCandidates()), "candidates")
+}
+
 // --- Serving layer ------------------------------------------------------------
 
 // benchServeData builds a deterministic incomplete dataset in feature space

@@ -31,10 +31,10 @@ type Engine struct {
 	order     []candRef // ascending similarity under the total order
 	pins      []int32   // pins[i] = candidate index row i is cleaned to, or -1
 	pinGen    uint64    // bumped on every pin mutation (SetPin, ResetPins)
-	labelOf   []int
-	rowPos    []int   // leaf index of each row inside its label's tree
-	labelLen  []int   // rows per label
-	ones      []int32 // scratch template
+	labelOf   []int     // aliases inst.Labels; neither is ever written
+	rowPos    []int     // leaf index of each row inside its label's tree
+	labelLen  []int     // rows per label
+	ones      []int32   // scratch template
 	// firstPos/lastPos bound each row's candidate span inside order: every
 	// candidate of row i sits at a scan position in [firstPos[i], lastPos[i]].
 	// Outside that span a pin of row i provably cannot change the row's DP
@@ -78,14 +78,13 @@ func NewEngineFromInstance(inst *Instance) *Engine {
 		numLabels: inst.NumLabels,
 		order:     inst.sortedCandidates(),
 		pins:      make([]int32, n),
-		labelOf:   make([]int, n),
+		labelOf:   inst.Labels,
 		rowPos:    make([]int, n),
 		labelLen:  make([]int, inst.NumLabels),
 	}
 	for i := 0; i < n; i++ {
 		e.pins[i] = -1
 		l := inst.Labels[i]
-		e.labelOf[i] = l
 		e.rowPos[i] = e.labelLen[l]
 		e.labelLen[l]++
 	}

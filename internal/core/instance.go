@@ -22,11 +22,16 @@
 // All algorithms share one strict total order over candidates (descending
 // similarity, ties to the lexicographically smaller (row, candidate) pair)
 // and one vote tie-break (smallest label), so their answers agree exactly.
+// −0 and +0 are the same similarity, so they tie. The scan order is realised
+// once per engine by a stable radix sort on an order-preserving integer key
+// of the similarity (sortedCandidates); MoreSimilar states the same order as
+// a comparator.
 package core
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/knn"
@@ -123,18 +128,97 @@ type candRef struct {
 }
 
 // sortedCandidates returns every candidate reference ordered by ascending
-// similarity (least similar first), the scan order of the SS algorithms.
+// similarity (least similar first), the scan order of the SS algorithms: a
+// scans before b iff MoreSimilar(b, a).
+//
+// The order is realised by a stable LSD radix sort on simKey, not by a
+// comparator. Keys are appended in descending (row, candidate) order, so a
+// stable ascending sort leaves tied candidates larger (row, candidate)
+// first — exactly MoreSimilar's tie rule read backwards. Digits are 8 bits;
+// a digit on which every key agrees is skipped. The two work buffers come
+// from radixBufs, so the returned order is the only per-call allocation.
 func (in *Instance) sortedCandidates() []candRef {
-	out := make([]candRef, 0, in.TotalCandidates())
-	for i, row := range in.Sims {
-		for j := range row {
-			out = append(out, candRef{int32(i), int32(j)})
+	n := in.TotalCandidates()
+	buf := radixBufs.Get().(*radixBuf)
+	defer radixBufs.Put(buf)
+	if cap(buf.src) < n {
+		buf.src = make([]radixEntry, n)
+		buf.dst = make([]radixEntry, n)
+	}
+	src, dst := buf.src[:n], buf.dst[:n]
+	hist := &buf.hist
+	*hist = [8][256]int{}
+	p := 0
+	for i := len(in.Sims) - 1; i >= 0; i-- {
+		row := in.Sims[i]
+		for j := len(row) - 1; j >= 0; j-- {
+			k := simKey(row[j])
+			src[p] = radixEntry{k, candRef{int32(i), int32(j)}}
+			p++
+			// All eight digit histograms in this one pass, unrolled: the
+			// loop form pays bounds checks on every key.
+			hist[0][byte(k)]++
+			hist[1][byte(k>>8)]++
+			hist[2][byte(k>>16)]++
+			hist[3][byte(k>>24)]++
+			hist[4][byte(k>>32)]++
+			hist[5][byte(k>>40)]++
+			hist[6][byte(k>>48)]++
+			hist[7][byte(k>>56)]++
 		}
 	}
-	// Ascending similarity: a scans before b iff b is more similar than a.
-	sort.Slice(out, func(x, y int) bool {
-		a, b := out[x], out[y]
-		return in.MoreSimilar(int(b.row), int(b.cand), int(a.row), int(a.cand))
-	})
+	for d := range hist {
+		h, shift := &hist[d], 8*uint(d)
+		if n == 0 || h[byte(src[0].key>>shift)] == n {
+			continue // every key has this digit: the pass would not move anything
+		}
+		sum := 0
+		for v, c := range h {
+			h[v] = sum
+			sum += c
+		}
+		for _, x := range src {
+			b := byte(x.key >> shift)
+			dst[h[b]] = x
+			h[b]++
+		}
+		src, dst = dst, src
+	}
+	out := make([]candRef, n)
+	for p, x := range src {
+		out[p] = x.ref
+	}
 	return out
 }
+
+// simKey maps a similarity to a uint64 whose unsigned order is MoreSimilar's
+// similarity order: −0 is canonicalised to +0 first (the two compare equal,
+// and NegEuclidean returns −0 on an exact hit), then negative values get
+// their bits flipped and non-negative ones their sign bit set. ±Inf and
+// subnormals land where float comparison puts them. NaN, which MoreSimilar
+// leaves unordered, sorts above +Inf when its sign bit is clear and below
+// −Inf when it is set.
+func simKey(s float64) uint64 {
+	b := math.Float64bits(s)
+	if b == 1<<63 {
+		b = 0
+	}
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// radixEntry is one candidate under its sort key.
+type radixEntry struct {
+	key uint64
+	ref candRef
+}
+
+// radixBuf holds sortedCandidates' work buffers and digit histograms.
+type radixBuf struct {
+	src, dst []radixEntry
+	hist     [8][256]int
+}
+
+var radixBufs = sync.Pool{New: func() any { return new(radixBuf) }}

@@ -19,7 +19,7 @@ func (e *Engine) ApproxBytes() int64 {
 	const sliceHeader = 24
 	b := nm * (8 + 8)    // inst.Sims values + order candRefs
 	b += n * sliceHeader // Sims row headers
-	b += n * (4 + 8 + 8) // pins, labelOf, rowPos
+	b += n * (4 + 8 + 8) // pins, inst.Labels (labelOf aliases it), rowPos
 	b += n * (8 + 8)     // firstPos, lastPos
 	b += int64(len(e.pinLog)) * 12
 	b += int64(e.numLabels) * 8 // labelLen

@@ -90,8 +90,8 @@ func (p *enginePool) engine(t []float64) (*core.Engine, string) {
 		return e, key
 	}
 	p.mu.Unlock()
-	// Construction is the expensive part (similarities + candidate sort);
-	// keep it outside the lock. A concurrent miss on the same key builds a
+	// Construction is the expensive part (similarities, then the radix sort
+	// of the candidates into scan order); keep it outside the lock. A concurrent miss on the same key builds a
 	// duplicate and the first insert wins — wasted work, not a bug.
 	e := core.NewEngine(p.ds.data, p.ds.kernel, t)
 	p.builds.Add(1)

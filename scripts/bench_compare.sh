@@ -15,18 +15,19 @@
 #                          origin/main, or HEAD^ when that is HEAD itself)
 #   BENCH_REGRESSION_PCT   regression threshold in percent (default 15)
 #   BENCH_COMPARE_MATCH    comma-separated benchmark name substrings
-#                          (default the pinned sweep benchmarks)
+#                          (default the pinned sweep benchmarks and
+#                          engine construction)
 #   BENCH_COMPARE_TIME     -benchtime of each run (default 50x)
 #   BENCH_COMPARE_COUNT    runs per side, alternated (default 5)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PCT=${BENCH_REGRESSION_PCT:-15}
-MATCH=${BENCH_COMPARE_MATCH:-SweepPlanCache,ScanPositions,BatchQ2_ParallelSweep}
+MATCH=${BENCH_COMPARE_MATCH:-SweepPlanCache,ScanPositions,BatchQ2_ParallelSweep,NewEngine_Supreme}
 TIME=${BENCH_COMPARE_TIME:-50x}
 COUNT=${BENCH_COMPARE_COUNT:-5}
 # The pinned benchmarks live in the repro root package (SweepPlanCache,
-# BatchQ2_ParallelSweep) and internal/core (ScanPositions).
+# BatchQ2_ParallelSweep, NewEngine_Supreme) and internal/core (ScanPositions).
 PKGS=(. ./internal/core)
 
 base=${BENCH_BASE:-}
